@@ -22,34 +22,22 @@ from .fock import (
     DEFAULT_TRUNCATION,
     TRUNCATION_CAP,
     Truncation,
-    TwinBeamSource,
-    car_from_source,
     mean,
-    nbar_from_car,
 )
 from .heralding import HeraldConfig, herald
-from .loss import LossChannel
-from .merit import report
-from .sweep import FOM_NAMES, SweepAxis, SweepRecord, run_sweep
+from .sweep import (
+    FOM_NAMES,
+    SweepAxis,
+    SweepRecord,
+    _source_for,
+    evaluate_point,
+    fom_value,
+    run_sweep,
+)
 
 __all__ = ["main", "run", "CSV_COLUMNS"]
 
-CSV_COLUMNS = [
-    "car",
-    "nbar",
-    "mu_h",
-    "mu_s",
-    "k",
-    "target",
-    "fidelity",
-    "g2",
-    "g3",
-    "success_prob",
-    "parity",
-    "mean_lossy",
-    "mean_corrected",
-    "status",
-]
+CSV_COLUMNS = ["car", "nbar", "mu_h", "mu_s", "k", "target", *FOM_NAMES, "status"]
 
 DEFAULT_NUM_DETECTORS = 4
 DEFAULT_DARK_COUNT = 5e-4
@@ -60,35 +48,30 @@ class SpecError(Exception):
 
 
 def _fmt(value: float) -> str:
-    if value is None or not math.isfinite(value):
+    if not math.isfinite(value):
         return ""
     return f"{value:.12g}"
 
 
 def _json_number(value: float):
-    if value is None or not math.isfinite(value):
+    if not math.isfinite(value):
         return None
     return float(f"{value:.12g}")
 
 
-def _record_cells(record: SweepRecord) -> dict[str, float | int | str | None]:
-    rep = record.report
-    return {
-        "car": record.car,
-        "nbar": record.nbar,
-        "mu_h": record.mu_h,
-        "mu_s": record.mu_s,
-        "k": record.clicks,
-        "target": record.target,
-        "fidelity": rep.fidelity if rep else None,
-        "g2": rep.g2 if rep else None,
-        "g3": rep.g3 if rep else None,
-        "success_prob": rep.success_probability if rep else None,
-        "parity": rep.parity if rep else None,
-        "mean_lossy": rep.mean_lossy if rep else None,
-        "mean_corrected": rep.mean_loss_corrected if rep else None,
-        "status": record.status,
-    }
+def _cells(record: SweepRecord, number) -> list:
+    """The record's cells in CSV_COLUMNS order, each float cell rendered by ``number``."""
+    cells = [
+        record.car,
+        record.nbar,
+        record.mu_h,
+        record.mu_s,
+        record.clicks,
+        record.target,
+        *(fom_value(record, name) for name in FOM_NAMES),
+        record.status,
+    ]
+    return [number(cell) if isinstance(cell, float) else cell for cell in cells]
 
 
 def _write_records(records: Sequence[SweepRecord], fmt: str, out: str | None) -> None:
@@ -108,35 +91,12 @@ def _records_to_csv(records: Sequence[SweepRecord]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for record in records:
-        cells = _record_cells(record)
-        row = []
-        for name in CSV_COLUMNS:
-            value = cells[name]
-            if name == "status":
-                row.append(value)
-            elif name in ("k", "target"):
-                row.append(str(value))
-            else:
-                row.append(_fmt(value))
-        writer.writerow(row)
+    writer.writerows(_cells(record, _fmt) for record in records)
     return buffer.getvalue()
 
 
 def _records_to_json(records: Sequence[SweepRecord]) -> str:
-    rows = []
-    for record in records:
-        cells = _record_cells(record)
-        row: dict[str, Any] = {}
-        for name in CSV_COLUMNS:
-            value = cells[name]
-            if name == "status":
-                row[name] = value
-            elif name in ("k", "target"):
-                row[name] = int(value)
-            else:
-                row[name] = _json_number(value)
-        rows.append(row)
+    rows = [dict(zip(CSV_COLUMNS, _cells(record, _json_number))) for record in records]
     return json.dumps(rows, indent=2) + "\n"
 
 
@@ -199,42 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_report(args) -> int:
-    trunc = _truncation_from_args(args)
-    if args.car is not None:
-        source = nbar_from_car(args.car)
-        car = args.car
-    else:
-        source = TwinBeamSource(args.nbar)
-        car = car_from_source(source) if args.nbar > 0 else math.nan
-    detector = ClickDetectorArray(
-        efficiency=args.mu_h,
+    record = evaluate_point(
+        args.car,
+        args.nbar,
+        args.mu_h,
+        args.mu_s,
+        clicks=args.clicks,
+        target=args.target if args.target is not None else args.clicks,
         num_detectors=args.detectors,
         dark_count_prob=args.nu,
+        trunc=_truncation_from_args(args),
     )
-    target = args.target if args.target is not None else args.clicks
-    config = HeraldConfig(source, detector, args.clicks, trunc)
-    rep = report(config, LossChannel(args.mu_s), target)
-
-    record = SweepRecord(
-        car=car,
-        nbar=source.mean_photon_number,
-        mu_h=args.mu_h,
-        mu_s=args.mu_s,
-        clicks=args.clicks,
-        target=target,
-        report=rep,
-        status="ok",
-    )
-    cells = _record_cells(record)
     width = max(len(name) for name in CSV_COLUMNS)
-    for name in CSV_COLUMNS:
-        value = cells[name]
-        if name == "status":
-            text = value
-        elif name in ("k", "target"):
-            text = str(value)
-        else:
-            text = _fmt(value) or "nan"
+    for name, text in zip(CSV_COLUMNS, _cells(record, lambda value: _fmt(value) or "nan")):
         print(f"{name:<{width}}  {text}")
     if args.out is not None:
         _write_records([record], args.format or "csv", args.out)
@@ -326,13 +263,7 @@ def cmd_sweep(args) -> int:
     target_section = spec.get("target", {})
     _require_keys(target_section, {"m"}, "target")
     outputs = spec.get("outputs", {})
-    _require_keys(outputs, {"foms", "format", "path"}, "outputs")
-    foms = outputs.get("foms", [])
-    if not isinstance(foms, list):
-        raise SpecError("outputs.foms must be a list")
-    for name in foms:
-        if name not in FOM_NAMES:
-            raise SpecError(f"unknown figure of merit {name!r} in outputs.foms")
+    _require_keys(outputs, {"format", "path"}, "outputs")
 
     trunc_section = spec.get("truncation")
     if trunc_section is not None:
@@ -387,15 +318,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_calibrate(args) -> int:
     trunc = _truncation_from_args(args)
-    if args.car is not None:
-        source = nbar_from_car(args.car)
-        car = args.car
-    else:
-        if not args.nbar > 0:
-            raise ValueError("calibration needs nbar > 0")
-        source = TwinBeamSource(args.nbar)
-        car = car_from_source(source)
-
+    if args.car is None and not args.nbar > 0:
+        raise ValueError("calibration needs nbar > 0")
+    car, nbar, source = _source_for(args.car, args.nbar)
     detector = ClickDetectorArray(
         efficiency=0.5,
         num_detectors=DEFAULT_NUM_DETECTORS,
@@ -403,7 +328,7 @@ def cmd_calibrate(args) -> int:
     )
     rows = [
         ("car", car),
-        ("nbar", source.mean_photon_number),
+        ("nbar", nbar),
         ("lambda_sq", source.squeezing_magnitude),
     ]
     for clicks in (1, 2, 3):

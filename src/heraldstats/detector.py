@@ -81,7 +81,6 @@ def povm_weight(detector: ClickDetectorArray, clicks: int, n: int) -> float:
     return math.fsum(terms)
 
 
-@lru_cache(maxsize=16384)
 def _click_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
     """Vector of click weights for n = 0..n_max (pairwise-summed over m)."""
     n = np.arange(n_max + 1)
@@ -89,23 +88,13 @@ def _click_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.
     for m in range(clicks + 1):
         coeff, base = _term_factors(detector, clicks, m)
         terms[m] = coeff * base**n
-    weights = terms.sum(axis=0)
-    weights.flags.writeable = False
-    return weights
+    return terms.sum(axis=0)
 
 
 @lru_cache(maxsize=16384)
-def _clipped_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
-    weights = _click_weights(detector, clicks, n_max)
-    low = float(weights.min())
-    high = float(weights.max())
-    if low < -_WEIGHT_TOL or high > 1.0 + _WEIGHT_TOL:
-        raise ValueError(
-            f"click weights outside [0, 1]: min {low:.3e}, max {high:.3e}"
-        )
-    weights = np.clip(weights, 0.0, 1.0)
-    weights.flags.writeable = False
-    return weights
+def _clipped_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> "PovmDiagonal":
+    """Validated weights of one click outcome, cached per (detector, clicks, n_max)."""
+    return PovmDiagonal(clicks, _click_weights(detector, clicks, n_max))
 
 
 class PovmDiagonal:
@@ -128,13 +117,6 @@ class PovmDiagonal:
         self.clicks = clicks
         self._weights = clipped
 
-    @classmethod
-    def _trusted(cls, clicks: int, weights: np.ndarray) -> "PovmDiagonal":
-        obj = object.__new__(cls)
-        obj.clicks = clicks
-        obj._weights = weights
-        return obj
-
     @property
     def weights(self) -> np.ndarray:
         return self._weights
@@ -153,4 +135,4 @@ def povm_diagonal(
     """Click-outcome weights up to the cutoff fixed by ``trunc``."""
     _check_clicks(detector, clicks)
     n_max = trunc.resolve_n_max(None)
-    return PovmDiagonal._trusted(clicks, _clipped_weights(detector, clicks, n_max))
+    return _clipped_weights(detector, clicks, n_max)

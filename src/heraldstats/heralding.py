@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import ClickDetectorArray, povm_diagonal
+from .detector import ClickDetectorArray, _check_clicks, povm_diagonal
 from .fock import (
     DEFAULT_TRUNCATION,
     PhotonStatistics,
@@ -48,10 +48,7 @@ class HeraldConfig:
     trunc: Truncation = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if not 0 <= self.clicks <= self.detector.num_detectors:
-            raise ValueError(
-                f"click count {self.clicks} outside 0..{self.detector.num_detectors}"
-            )
+        _check_clicks(self.detector, self.clicks)
 
 
 class HeraldedState:

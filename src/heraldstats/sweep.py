@@ -9,9 +9,10 @@ exports stay rectangular.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "SweepAxis",
     "SweepRecord",
     "RegionMask",
+    "evaluate_point",
     "run_sweep",
     "threshold_region",
     "find_optimum",
@@ -104,34 +106,27 @@ class SweepRecord:
         return self.report is not None
 
 
+#: Figure-of-merit export column -> FigureOfMeritReport attribute, in export order.
+_FOM_COLUMNS = {
+    "fidelity": "fidelity",
+    "g2": "g2",
+    "g3": "g3",
+    "success_prob": "success_probability",
+    "parity": "parity",
+    "mean_lossy": "mean_lossy",
+    "mean_corrected": "mean_loss_corrected",
+}
+
+FOM_NAMES = tuple(_FOM_COLUMNS)
+
+
 def fom_value(record: SweepRecord, name: str) -> float:
     """Figure-of-merit accessor by export column name."""
     if record.report is None:
         return math.nan
-    rep = record.report
-    values = {
-        "fidelity": rep.fidelity,
-        "g2": rep.g2,
-        "g3": rep.g3,
-        "success_prob": rep.success_probability,
-        "parity": rep.parity,
-        "mean_lossy": rep.mean_lossy,
-        "mean_corrected": rep.mean_loss_corrected,
-    }
-    if name not in values:
+    if name not in _FOM_COLUMNS:
         raise ValueError(f"unknown figure of merit {name!r}")
-    return values[name]
-
-
-FOM_NAMES = (
-    "fidelity",
-    "g2",
-    "g3",
-    "success_prob",
-    "parity",
-    "mean_lossy",
-    "mean_corrected",
-)
+    return getattr(record.report, _FOM_COLUMNS[name])
 
 
 @dataclass(frozen=True)
@@ -172,6 +167,40 @@ def _source_for(car: float | None, nbar: float | None) -> tuple[float, float, Tw
     return car_value, float(nbar), source
 
 
+def evaluate_point(
+    car: float | None,
+    nbar: float | None,
+    mu_h: float,
+    mu_s: float,
+    *,
+    clicks: int,
+    target: int,
+    num_detectors: int,
+    dark_count_prob: float,
+    trunc: Truncation,
+) -> SweepRecord:
+    """Record of one grid point; raises the domain error of a point that fails.
+
+    The source is fixed by ``car`` when given, else by ``nbar``.
+    """
+    car_value, nbar_value, source = _source_for(car, nbar)
+    detector = ClickDetectorArray(
+        efficiency=mu_h,
+        num_detectors=num_detectors,
+        dark_count_prob=dark_count_prob,
+    )
+    config = HeraldConfig(source, detector, clicks, trunc)
+    return SweepRecord(
+        car=car_value,
+        nbar=nbar_value,
+        mu_h=mu_h,
+        mu_s=mu_s,
+        clicks=clicks,
+        target=target,
+        report=report(config, LossChannel(mu_s), target),
+    )
+
+
 def run_sweep(
     axes: Sequence[SweepAxis],
     *,
@@ -189,58 +218,50 @@ def run_sweep(
 
     Each of car (or nbar), mu_h and mu_s must appear exactly once, either as
     an axis or as a fixed value.  The target photon number defaults to the
-    click count.
+    click count.  Bad fixed source or detector parameters raise; a point
+    whose herald or report fails becomes an error-marked record.
     """
     axes = list(axes)
     _validate_assignment(axes, car, nbar, mu_h, mu_s)
     if target is None:
         target = clicks
 
-    grids = [axis.grid() for axis in axes]
     names = [axis.parameter for axis in axes]
+    # Swept values are in range by SweepAxis, so only fixed values can make
+    # the source or detector invalid; check them once, outside the error rows.
+    if "car" not in names:
+        _source_for(car, nbar)
+    ClickDetectorArray(
+        efficiency=1.0 if mu_h is None else float(mu_h),
+        num_detectors=num_detectors,
+        dark_count_prob=dark_count_prob,
+    )
+
     records: list[SweepRecord] = []
-    for values in _row_major(grids):
-        point = dict(zip(names, values))
+    for values in itertools.product(*(axis.grid() for axis in axes)):
+        point = dict(zip(names, map(float, values)))
         point_car = point.get("car", car)
-        point_nbar = nbar if point_car is None else None
-        car_value, nbar_value, source = _source_for(point_car, point_nbar)
         mu_h_value = float(point.get("mu_h", mu_h))
         mu_s_value = float(point.get("mu_s", mu_s))
-        detector = ClickDetectorArray(
-            efficiency=mu_h_value,
-            num_detectors=num_detectors,
-            dark_count_prob=dark_count_prob,
-        )
         try:
-            config = HeraldConfig(source, detector, clicks, trunc)
-            point_report = report(config, LossChannel(mu_s_value), target)
-            status = "ok"
+            record = evaluate_point(
+                point_car, nbar, mu_h_value, mu_s_value, clicks=clicks, target=target,
+                num_detectors=num_detectors, dark_count_prob=dark_count_prob, trunc=trunc,
+            )
         except (ValueError, ArithmeticError) as exc:
-            point_report = None
-            status = f"error: {exc}"
-        records.append(
-            SweepRecord(
+            car_value, nbar_value, _ = _source_for(point_car, nbar)
+            record = SweepRecord(
                 car=car_value,
                 nbar=nbar_value,
                 mu_h=mu_h_value,
                 mu_s=mu_s_value,
                 clicks=clicks,
                 target=target,
-                report=point_report,
-                status=status,
+                report=None,
+                status=f"error: {exc}",
             )
-        )
+        records.append(record)
     return records
-
-
-def _row_major(grids: list[np.ndarray]) -> Iterable[tuple[float, ...]]:
-    if not grids:
-        yield ()
-        return
-    head, *tail = grids
-    for value in head:
-        for rest in _row_major(tail):
-            yield (float(value),) + rest
 
 
 def threshold_region(

@@ -194,9 +194,15 @@ class TestSweepCommand:
         out = tmp_path / "grid.csv"
         assert main(["sweep", write_spec(tmp_path, spec), "--out", str(out)]) == 0
 
-    def test_bad_fom_name_in_outputs(self, tmp_path):
+    def test_bad_fom_name_in_outputs(self, tmp_path, capsys):
         spec = basic_spec(outputs={"foms": ["sparkle"]})
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
+        assert "unknown key(s) ['foms'] in outputs" in capsys.readouterr().err
+
+    def test_fixed_car_at_floor_aborts(self, tmp_path, capsys):
+        spec = basic_spec(source={"car": 2.0})
+        assert main(["sweep", write_spec(tmp_path, spec)]) == 2
+        assert "CAR" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "k,car,field,expected,tol",
@@ -279,3 +285,119 @@ class TestCalibrateCommand:
 
     def test_requires_argument(self):
         assert main(["calibrate"]) == 2
+
+
+GOLDEN_SPEC = {
+    "detector": {"N": 4, "nu": 0.0},
+    "source": {"car": 10.0},
+    "signal": {"mu_s": 0.7},
+    "herald": {"k": 1},
+    "axes": [{"parameter": "mu_h", "min": 0.0, "max": 1.0, "steps": 3}],
+}
+GOLDEN_REPORT_ARGS = [
+    "report", "--nbar", "0", "--clicks", "0", "--nu", "0",
+    "--mu-h", "1", "--mu-s", "0.7", "--target", "0",
+]
+
+GOLDEN_CSV = (
+    'car,nbar,mu_h,mu_s,k,target,fidelity,g2,g3,success_prob,parity,mean_lossy,mean_corrected,status\n'
+    '10,0.125,0,0.7,1,1,,,,,,,,"error: herald outcome clicks=1 has zero probability for nbar=0.125, efficiency=0.0, dark_count_prob=0.0"\n'
+    '10,0.125,0.5,0.7,1,1,0.663362895468,0.228642433675,0.0602580134614,0.0561896400351,-0.334606345476,0.793415276558,1.13345039508,ok\n'
+    '10,0.125,1,0.7,1,1,0.692041522491,0.0555555555556,0.00462962962963,0.101587301587,-0.384615384615,0.72,1.02857142857,ok\n'
+)
+
+GOLDEN_JSON = (
+    '[\n'
+    '  {\n'
+    '    "car": 10.0,\n'
+    '    "nbar": 0.125,\n'
+    '    "mu_h": 0.0,\n'
+    '    "mu_s": 0.7,\n'
+    '    "k": 1,\n'
+    '    "target": 1,\n'
+    '    "fidelity": null,\n'
+    '    "g2": null,\n'
+    '    "g3": null,\n'
+    '    "success_prob": null,\n'
+    '    "parity": null,\n'
+    '    "mean_lossy": null,\n'
+    '    "mean_corrected": null,\n'
+    '    "status": "error: herald outcome clicks=1 has zero probability for nbar=0.125, efficiency=0.0, dark_count_prob=0.0"\n'
+    '  },\n'
+    '  {\n'
+    '    "car": 10.0,\n'
+    '    "nbar": 0.125,\n'
+    '    "mu_h": 0.5,\n'
+    '    "mu_s": 0.7,\n'
+    '    "k": 1,\n'
+    '    "target": 1,\n'
+    '    "fidelity": 0.663362895468,\n'
+    '    "g2": 0.228642433675,\n'
+    '    "g3": 0.0602580134614,\n'
+    '    "success_prob": 0.0561896400351,\n'
+    '    "parity": -0.334606345476,\n'
+    '    "mean_lossy": 0.793415276558,\n'
+    '    "mean_corrected": 1.13345039508,\n'
+    '    "status": "ok"\n'
+    '  },\n'
+    '  {\n'
+    '    "car": 10.0,\n'
+    '    "nbar": 0.125,\n'
+    '    "mu_h": 1.0,\n'
+    '    "mu_s": 0.7,\n'
+    '    "k": 1,\n'
+    '    "target": 1,\n'
+    '    "fidelity": 0.692041522491,\n'
+    '    "g2": 0.0555555555556,\n'
+    '    "g3": 0.00462962962963,\n'
+    '    "success_prob": 0.101587301587,\n'
+    '    "parity": -0.384615384615,\n'
+    '    "mean_lossy": 0.72,\n'
+    '    "mean_corrected": 1.02857142857,\n'
+    '    "status": "ok"\n'
+    '  }\n'
+    ']\n'
+)
+
+GOLDEN_REPORT_TEXT = (
+    'car             nan\n'
+    'nbar            0\n'
+    'mu_h            1\n'
+    'mu_s            0.7\n'
+    'k               0\n'
+    'target          0\n'
+    'fidelity        1\n'
+    'g2              nan\n'
+    'g3              nan\n'
+    'success_prob    1\n'
+    'parity          1\n'
+    'mean_lossy      0\n'
+    'mean_corrected  0\n'
+    'status          ok\n'
+)
+
+GOLDEN_REPORT_CSV = (
+    'car,nbar,mu_h,mu_s,k,target,fidelity,g2,g3,success_prob,parity,mean_lossy,mean_corrected,status\n'
+    ',0,1,0.7,0,0,1,,,1,1,0,0,ok\n'
+)
+
+
+class TestGoldenExport:
+    """Exact bytes of every export path, error row and NaN cells included."""
+
+    def test_sweep_csv_bytes(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", write_spec(tmp_path, GOLDEN_SPEC), "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_CSV.encode()
+
+    def test_sweep_json_bytes(self, tmp_path):
+        out = tmp_path / "grid.json"
+        assert main(["sweep", write_spec(tmp_path, GOLDEN_SPEC), "--format", "json",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_JSON.encode()
+
+    def test_report_text_and_csv_bytes(self, tmp_path, capsys):
+        out = tmp_path / "point.csv"
+        assert main(GOLDEN_REPORT_ARGS + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == GOLDEN_REPORT_TEXT
+        assert out.read_bytes() == GOLDEN_REPORT_CSV.encode()

@@ -107,6 +107,27 @@ class TestRunSweep:
         assert not records[0].ok and "zero probability" in records[0].status
         assert records[1].ok and records[2].ok
 
+    def test_bad_source_or_detector_aborts_sweep(self):
+        axes = [SweepAxis("mu_h", 0.2, 0.8, 2)]
+        with pytest.raises(ValueError, match="CAR"):
+            run_sweep(axes, clicks=1, car=2.0, mu_s=1.0)
+        with pytest.raises(ValueError, match="detector"):
+            run_sweep(axes, clicks=1, car=10.0, mu_s=1.0, num_detectors=0)
+        with pytest.raises(ValueError, match="dark count"):
+            run_sweep(axes, clicks=1, car=10.0, mu_s=1.0, dark_count_prob=-1.0)
+        with pytest.raises(ValueError, match="efficiency"):
+            run_sweep([], clicks=1, car=10.0, mu_h=1.5, mu_s=1.0)
+
+    def test_herald_and_report_errors_become_rows(self):
+        axes = [SweepAxis("mu_h", 0.2, 0.8, 2)]
+        too_many_clicks = run_sweep(axes, clicks=5, car=10.0, mu_s=1.0)
+        bad_signal = run_sweep(axes, clicks=1, car=10.0, mu_s=1.5)
+        for records in (too_many_clicks, bad_signal):
+            assert len(records) == 2
+            assert all(r.status.startswith("error: ") for r in records)
+            assert [r.mu_h for r in records] == [0.2, 0.8]
+            assert all(r.car == 10.0 and r.nbar == 0.125 for r in records)
+
     def test_nbar_fixed_point(self):
         records = run_sweep([], clicks=1, nbar=1.0, mu_h=1.0, mu_s=1.0)
         assert records[0].car == pytest.approx(3.0)
