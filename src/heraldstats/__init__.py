@@ -8,7 +8,7 @@ the experimentally accessible knobs (CAR, heralding efficiency, signal
 efficiency) to locate high-quality preparation regions.
 """
 
-from .detector import ClickDetectorArray, PovmDiagonal, povm_diagonal, povm_weight
+from .detector import ClickDetectorArray, povm_diagonal, povm_weight
 from .fock import (
     DEFAULT_TAIL_EPSILON,
     DEFAULT_TRUNCATION,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClickDetectorArray",
-    "PovmDiagonal",
     "povm_diagonal",
     "povm_weight",
     "DEFAULT_TAIL_EPSILON",

@@ -103,10 +103,13 @@ def _records_to_json(records: Sequence[SweepRecord]) -> str:
 def _truncation_from_args(args) -> Truncation:
     if args.truncation is not None and args.tail_eps is not None:
         raise SpecError("--truncation and --tail-eps are mutually exclusive")
-    if args.truncation is not None:
-        return Truncation.fixed(args.truncation)
-    if args.tail_eps is not None:
-        return Truncation.adaptive(args.tail_eps)
+    try:
+        if args.truncation is not None:
+            return Truncation.fixed(args.truncation)
+        if args.tail_eps is not None:
+            return Truncation.adaptive(args.tail_eps)
+    except ValueError as exc:
+        raise SpecError(f"bad truncation: {exc}") from exc
     return DEFAULT_TRUNCATION
 
 
@@ -189,19 +192,21 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise SpecError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _spec_number(section: dict, key: str, where: str) -> float | None:
-    value = section.get(key)
-    if value is None:
-        return None
+def _spec_number(
+    section: dict, key: str, where: str, default: float | None = None
+) -> float | None:
+    if key not in section:
+        return default
+    value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{where}.{key} must be a number")
     return float(value)
 
 
 def _spec_int(section: dict, key: str, where: str, default: int | None = None) -> int | None:
-    value = section.get(key, default)
-    if value is None:
-        return None
+    if key not in section:
+        return default
+    value = section[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(f"{where}.{key} must be an integer")
     return value
@@ -296,9 +301,7 @@ def cmd_sweep(args) -> int:
             clicks=_spec_int(herald_section, "k", "herald"),
             target=_spec_int(target_section, "m", "target"),
             num_detectors=_spec_int(detector, "N", "detector", DEFAULT_NUM_DETECTORS),
-            dark_count_prob=_spec_number(detector, "nu", "detector")
-            if "nu" in detector
-            else DEFAULT_DARK_COUNT,
+            dark_count_prob=_spec_number(detector, "nu", "detector", DEFAULT_DARK_COUNT),
             car=_spec_number(source, "car", "source"),
             nbar=_spec_number(source, "nbar", "source"),
             mu_h=_spec_number(detector, "mu_h", "detector"),

@@ -3,14 +3,13 @@
 A bank of N identical binary ("click") detectors with uniform intensity
 splitting, per-array efficiency mu and dark-count parameter nu.  The outcome
 "exactly k of the N detectors click" acts diagonally on Fock states with
-weight
+weight w_n(k), computed from an occupancy recurrence of positive terms only,
+so it is exact to rounding for any N.  Each photon is lost with probability
+1 - mu, hits one of the j detectors already hit with probability mu j/N, or
+hits a new one; hit_j(n) is the probability that n photons hit j detectors.
+Detectors left unhit click on a dark count with d = 1 - exp(-nu/N):
 
-    w_n(k) = sum_{m=0}^{k} C(N,k) C(k,m) (-1)^m
-             * exp(-(nu/N) (N+m-k)) * (1 - (mu/N) (N+m-k))^n .
-
-The m-sum alternates in sign, so both entry points accumulate it carefully:
-the scalar one with compensated summation, the vectorized one with numpy's
-pairwise reduction.
+    w_n(k) = sum_{j<=k} hit_j(n) C(N-j, k-j) d^(k-j) (1-d)^(N-k) .
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .fock import Truncation
+from scipy.linalg.lapack import dtbtrs
 
 __all__ = [
     "ClickDetectorArray",
-    "PovmDiagonal",
     "povm_weight",
     "povm_diagonal",
 ]
@@ -59,80 +56,53 @@ def _check_clicks(detector: ClickDetectorArray, clicks: int) -> None:
         )
 
 
-def _term_factors(detector: ClickDetectorArray, clicks: int, m: int) -> tuple[float, float]:
-    """Coefficient and geometric base of the m-th term of the click weight."""
-    n_det = detector.num_detectors
-    silent = n_det + m - clicks
-    coeff = math.comb(n_det, clicks) * math.comb(clicks, m) * (-1.0) ** m
-    coeff *= math.exp(-detector.dark_count_prob * silent / n_det)
-    base = 1.0 - detector.efficiency * silent / n_det
-    return coeff, base
-
-
 def povm_weight(detector: ClickDetectorArray, clicks: int, n: int) -> float:
     """Probability of exactly ``clicks`` clicks given n photons on the array."""
     _check_clicks(detector, clicks)
     if n < 0:
         raise ValueError("photon number must be >= 0")
-    terms = []
-    for m in range(clicks + 1):
-        coeff, base = _term_factors(detector, clicks, m)
-        terms.append(coeff * base**n)
-    return math.fsum(terms)
+    return float(_click_weights(detector, clicks, n)[n])
 
 
 def _click_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
-    """Vector of click weights for n = 0..n_max (pairwise-summed over m)."""
-    n = np.arange(n_max + 1)
-    terms = np.empty((clicks + 1, n_max + 1))
-    for m in range(clicks + 1):
-        coeff, base = _term_factors(detector, clicks, m)
-        terms[m] = coeff * base**n
-    return terms.sum(axis=0)
+    """Vector of click weights for n = 0..n_max from the occupancy recurrence."""
+    n_det = detector.num_detectors
+    mu = detector.efficiency
+    # fill[j] is built downward by ratios: no binomial is formed, all values <= 1.
+    dark = -math.expm1(-detector.dark_count_prob / n_det)
+    fill = np.empty(clicks + 1)
+    fill[clicks] = math.exp(-detector.dark_count_prob * (n_det - clicks) / n_det)
+    for j in range(clicks - 1, -1, -1):
+        fill[j] = fill[j + 1] * dark * (n_det - j) / (clicks - j)
+    # hit_j(n+1) = (1 - mu + mu j/N) hit_j(n) + mu (N-j+1)/N hit_{j-1}(n): one in-place
+    # unit lower-bidiagonal solve per column; Fortran order spares the wrapper a copy.
+    hits = np.zeros((n_max + 1, clicks + 1), order="F")
+    hits[0, 0] = 1.0
+    band = np.empty((2, n_max + 1), order="F")
+    for j in range(clicks + 1):
+        if j:
+            np.multiply(hits[:-1, j - 1], mu * (n_det - j + 1) / n_det, out=hits[1:, j])
+        band[1] = -(1.0 - mu + mu * j / n_det)
+        dtbtrs(band, hits[:, j : j + 1], "L", "N", "U", 1)
+    return hits @ fill
 
 
 @lru_cache(maxsize=16384)
-def _clipped_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> "PovmDiagonal":
-    """Validated weights of one click outcome, cached per (detector, clicks, n_max)."""
-    return PovmDiagonal(clicks, _click_weights(detector, clicks, n_max))
+def _clipped_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
+    """Validated, read-only weights of one click outcome, cached per (detector, clicks, n_max)."""
+    weights = _click_weights(detector, clicks, n_max)
+    low = float(weights.min())
+    high = float(weights.max())
+    if low < -_WEIGHT_TOL or high > 1.0 + _WEIGHT_TOL:
+        raise ValueError(f"click weights outside [0, 1]: min {low:.3e}, max {high:.3e}")
+    np.clip(weights, 0.0, 1.0, out=weights)
+    weights.flags.writeable = False
+    return weights
 
 
-class PovmDiagonal:
-    """Diagonal weights of one click outcome over photon numbers 0..n_max."""
-
-    __slots__ = ("clicks", "_weights")
-
-    def __init__(self, clicks: int, weights):
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        low = float(weights.min())
-        high = float(weights.max())
-        if low < -_WEIGHT_TOL or high > 1.0 + _WEIGHT_TOL:
-            raise ValueError(
-                f"click weights outside [0, 1]: min {low:.3e}, max {high:.3e}"
-            )
-        clipped = np.clip(weights, 0.0, 1.0)
-        clipped.flags.writeable = False
-        self.clicks = clicks
-        self._weights = clipped
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def n_max(self) -> int:
-        return self._weights.size - 1
-
-    def __repr__(self) -> str:
-        return f"PovmDiagonal(clicks={self.clicks}, n_max={self.n_max})"
-
-
-def povm_diagonal(
-    detector: ClickDetectorArray, clicks: int, trunc: Truncation
-) -> PovmDiagonal:
-    """Click-outcome weights up to the cutoff fixed by ``trunc``."""
+def povm_diagonal(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
+    """Read-only click-outcome weights w_n(clicks) for n = 0..n_max."""
     _check_clicks(detector, clicks)
-    n_max = trunc.resolve_n_max(None)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     return _clipped_weights(detector, clicks, n_max)

@@ -76,10 +76,7 @@ def _unnormalized(config: HeraldConfig) -> np.ndarray:
     # The cutoff authority is the source distribution; the click weights are
     # evaluated pointwise to the same n_max.
     thermal = thermal_distribution(config.source, config.trunc)
-    outcome = povm_diagonal(
-        config.detector, config.clicks, Truncation.fixed(thermal.n_max)
-    )
-    return outcome.weights * thermal.probabilities
+    return povm_diagonal(config.detector, config.clicks, thermal.n_max) * thermal.probabilities
 
 
 def herald(config: HeraldConfig) -> HeraldedState:

@@ -307,6 +307,8 @@ def find_optimum(
     for cname, comparator, level in constraints:
         if cname not in FOM_NAMES:
             raise ValueError(f"unknown figure of merit {cname!r}")
+        if comparator not in _COMPARATORS:
+            raise ValueError(f"unknown comparator {comparator!r}")
         checks.append((cname, _COMPARATORS[comparator], level))
 
     sign = -1.0 if direction == "max" else 1.0

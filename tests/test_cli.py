@@ -84,6 +84,26 @@ class TestReportCommand:
         ])
         assert code == 2
 
+    def test_large_array_report(self, capsys):
+        code = main([
+            "report", "--car", "15", "--clicks", "8", "--mu-h", "0.9", "--mu-s", "0.7",
+            "--detectors", "16",
+        ])
+        assert code == 0
+        values = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+        assert values["status"] == "ok"
+        assert 0.0 <= float(values["fidelity"]) <= 1.0
+
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    @pytest.mark.parametrize("flag", [["--truncation", "-1"], ["--tail-eps", "2"]])
+    def test_bad_truncation_flag_usage_error(self, tmp_path, capsys, command, flag):
+        if command == "report":
+            argv = ["report", "--car", "15", "--clicks", "1", "--mu-h", "1", "--mu-s", "1"]
+        else:
+            argv = ["sweep", write_spec(tmp_path, basic_spec())]
+        assert main(argv + flag) == 2
+        assert "bad truncation" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_csv_output(self, tmp_path, capsys):
@@ -163,6 +183,15 @@ class TestSweepCommand:
         spec = basic_spec(source={"car": "fifteen"})
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
         assert "must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key", [("detector", "nu"), ("detector", "N"), ("herald", "k")]
+    )
+    def test_null_value_rejected(self, tmp_path, capsys, section, key):
+        spec = basic_spec()
+        spec[section][key] = None
+        assert main(["sweep", write_spec(tmp_path, spec)]) == 2
+        assert f"{section}.{key} must be" in capsys.readouterr().err
 
     def test_non_integer_clicks_rejected(self, tmp_path):
         spec = basic_spec(herald={"k": 1.5})

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from heraldstats import ClickDetectorArray, Truncation, povm_diagonal, povm_weight
+from heraldstats import ClickDetectorArray, povm_diagonal, povm_weight
 
 
 def occupancy_probability(num_detectors, efficiency, clicks, photons):
@@ -76,6 +76,8 @@ class TestPovmWeight:
             povm_weight(det, -1, 1)
         with pytest.raises(ValueError):
             povm_weight(det, 0, -1)
+        with pytest.raises(ValueError):
+            povm_diagonal(det, 0, -1)
 
 
 class TestPovmProperties:
@@ -83,10 +85,9 @@ class TestPovmProperties:
     NU_GRID = (0.0, 5e-4, 0.01)
 
     def test_completeness(self):
-        for mu, nu in itertools.product(self.MU_GRID, self.NU_GRID):
-            det = ClickDetectorArray(efficiency=mu, num_detectors=4, dark_count_prob=nu)
-            trunc = Truncation.fixed(200)
-            total = sum(povm_diagonal(det, k, trunc).weights for k in range(5))
+        for n_det, mu, nu in itertools.product((1, 4, 16, 128), self.MU_GRID, self.NU_GRID):
+            det = ClickDetectorArray(efficiency=mu, num_detectors=n_det, dark_count_prob=nu)
+            total = sum(povm_diagonal(det, k, 200) for k in range(n_det + 1))
             np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_range_bounds(self):
@@ -99,14 +100,55 @@ class TestPovmProperties:
 
     def test_diagonal_matches_scalar(self):
         det = ClickDetectorArray(efficiency=0.6, num_detectors=4, dark_count_prob=5e-4)
-        diag = povm_diagonal(det, 2, Truncation.fixed(30))
+        diag = povm_diagonal(det, 2, 30)
         for n in range(31):
-            assert diag.weights[n] == pytest.approx(povm_weight(det, 2, n), abs=1e-13)
+            assert diag[n] == pytest.approx(povm_weight(det, 2, n), abs=1e-13)
 
-    def test_diagonal_needs_concrete_cutoff(self):
-        det = ClickDetectorArray(efficiency=0.6)
-        with pytest.raises(ValueError):
-            povm_diagonal(det, 1, Truncation.adaptive())
+
+class TestHighPrecisionOracle:
+    """Click weights against the inclusion-exclusion closed form in mpmath,
+
+        w_n(k) = sum_m C(N,k) C(k,m) (-1)^m exp(-nu (N+m-k)/N) (1 - mu (N+m-k)/N)^n,
+
+    whose terms cancel by up to C(N,k) 2^k against results down to 1e-250, so
+    the working precision grows with the size of the terms.
+    """
+
+    N_MAX = 100
+    FLOOR = 1e-250
+
+    @staticmethod
+    def reference(num_detectors, clicks, mu, nu, n_max):
+        mp = pytest.importorskip("mpmath").mp
+        term_digits = math.log10(math.comb(num_detectors, clicks)) + clicks * math.log10(2)
+        with mp.workdps(int(term_digits) + 290):
+            terms = []
+            for m in range(clicks + 1):
+                silent = num_detectors + m - clicks
+                coeff = math.comb(num_detectors, clicks) * math.comb(clicks, m) * (-1) ** m
+                terms.append(
+                    [coeff * mp.exp(-mp.mpf(nu) * silent / num_detectors),
+                     1 - mp.mpf(mu) * silent / num_detectors]
+                )
+            weights = []
+            for _ in range(n_max + 1):
+                weights.append(float(mp.fsum(term for term, _ in terms)))
+                for pair in terms:
+                    pair[0] *= pair[1]
+        return weights
+
+    @pytest.mark.parametrize("num_detectors", [1, 2, 4, 8, 16, 32, 64, 128])
+    def test_matches_mpmath(self, num_detectors):
+        clicks_grid = sorted({0, 1, 3, num_detectors // 2, num_detectors - 1, num_detectors})
+        for clicks in (k for k in clicks_grid if 0 <= k <= num_detectors):
+            for mu, nu in itertools.product((0.0, 0.3, 0.9, 1.0), (0.0, 5e-4, 1e-2)):
+                det = ClickDetectorArray(mu, num_detectors, nu)
+                weights = povm_diagonal(det, clicks, self.N_MAX)
+                expected = self.reference(num_detectors, clicks, mu, nu, self.N_MAX)
+                for n, (got, want) in enumerate(zip(weights, expected)):
+                    assert abs(got - want) <= 1e-12 * max(want, self.FLOOR), (
+                        clicks, mu, nu, n, got, want
+                    )
 
 
 class TestClickDetectorArray:

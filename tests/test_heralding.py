@@ -103,9 +103,7 @@ class TestWeightsOnlyDependence:
         cfg = config(car=12.0, clicks=2, mu_h=0.7)
         heralded = herald(cfg)
         thermal = thermal_distribution(cfg.source, cfg.trunc)
-        weights = povm_diagonal(
-            cfg.detector, cfg.clicks, Truncation.fixed(thermal.n_max)
-        ).weights
+        weights = povm_diagonal(cfg.detector, cfg.clicks, thermal.n_max)
         unnormalized = weights * thermal.probabilities
         manual = unnormalized / unnormalized.sum()
         assert np.array_equal(heralded.statistics.probabilities, manual)

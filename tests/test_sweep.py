@@ -139,6 +139,13 @@ class TestRunSweep:
         records = run_sweep([], clicks=2, car=23.0, mu_h=1.0, mu_s=1.0)
         assert records[0].target == 2
 
+    def test_large_array_points_are_ok(self):
+        # 8 of 16 clicks: the click weights must stay inside [0, 1] at every mu_h
+        axes = [SweepAxis("mu_h", 0.1, 1.0, 10)]
+        records = run_sweep(axes, clicks=8, num_detectors=16, car=15.0, mu_s=0.7)
+        assert [r.status for r in records] == ["ok"] * 10
+        assert all(0.0 <= fom_value(r, "fidelity") <= 1.0 for r in records)
+
 
 class TestThresholdRegion:
     def test_level_above_one_empty(self):
@@ -208,6 +215,8 @@ class TestFindOptimum:
         _, records = small_grid(car_steps=4, mu_steps=2)
         with pytest.raises(ValueError):
             find_optimum(records, "fidelity", "max", [("fidelity", ">=", 1.01)])
+        with pytest.raises(ValueError, match="comparator"):
+            find_optimum(records, "fidelity", "max", [("fidelity", "==", 0.5)])
 
     @pytest.mark.parametrize(
         "clicks,comparator,level,low,high",
