@@ -269,6 +269,12 @@ def cmd_sweep(args) -> int:
     _require_keys(target_section, {"m"}, "target")
     outputs = spec.get("outputs", {})
     _require_keys(outputs, {"format", "path"}, "outputs")
+    fmt = args.format or outputs.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise SpecError(f"unknown output format {fmt!r}")
+    if not isinstance(outputs.get("path", ""), str):
+        raise SpecError("outputs.path must be a string")
+    out = args.out or outputs.get("path")
 
     trunc_section = spec.get("truncation")
     if trunc_section is not None:
@@ -310,11 +316,6 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
-
-    fmt = args.format or outputs.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise SpecError(f"unknown output format {fmt!r}")
-    out = args.out or outputs.get("path")
     _write_records(records, fmt, out)
     return 0
 

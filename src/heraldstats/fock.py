@@ -96,15 +96,10 @@ class Truncation:
     ) -> "Truncation":
         return cls(mode="adaptive", tail_epsilon=tail_epsilon, cap=cap)
 
-    def resolve_n_max(self, source: "TwinBeamSource | None" = None) -> int:
-        """Concrete cutoff; adaptive mode needs a source to bound its tail."""
+    def resolve_n_max(self, source: "TwinBeamSource") -> int:
+        """Concrete cutoff; adaptive mode bounds the source's thermal tail."""
         if self.mode == "fixed":
             return int(self.n_max)
-        if source is None:
-            raise ValueError(
-                "adaptive truncation needs a twin-beam source to bound its tail; "
-                "use Truncation.fixed(...) instead"
-            )
         nbar = source.mean_photon_number
         if nbar == 0.0:
             return 0

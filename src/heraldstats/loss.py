@@ -7,6 +7,14 @@ is exact in principle but amplifies noise, and inverting a vector that is
 not the image of a physical state produces negative entries.  Small
 negativity is clamped, large negativity is an error: silently keeping it
 would poison sign-sensitive quantities like the photon-number parity.
+
+``apply_loss`` and ``invert_loss`` build the dense matrix on every call, so
+they cost O(n_max^2) time and memory.  The figures of merit never need the
+whole lossy vector: the overlap with |m> after loss is row m of L applied
+to the lossless distribution, and the lossy parity is sum_n p_n (1-2 mu)^n,
+since each photon independently flips the parity when it survives
+(probability mu) and leaves it alone when lost.  ``_lossy_weights`` caches
+both O(n_max) weight vectors.
 """
 
 from __future__ import annotations
@@ -61,17 +69,46 @@ class UnphysicalInversionError(ValueError):
         )
 
 
-@lru_cache(maxsize=256)
+#: Below this efficiency scipy's binomial pmf can raise OverflowError (seen
+#: up to mu ~ 7e-306 at n = 4096).  There every entry with m >= 2 rounds to
+#: zero, (1 - mu)^n rounds to one, and C(n, 1) mu (1 - mu)^(n-1) to n mu.
+_TINY_EFFICIENCY = 1e-250
+
+
+def _binomial_pmf(m, n, efficiency: float) -> np.ndarray:
+    """C(n, m) mu^m (1-mu)^(n-m), broadcast over m and n."""
+    if efficiency < _TINY_EFFICIENCY:
+        return np.where(m == 0, 1.0, np.where(m == 1, n * efficiency, 0.0))
+    return binom.pmf(m, n, efficiency)
+
+
 def _loss_matrix(efficiency: float, n_max: int) -> np.ndarray:
     m = np.arange(n_max + 1)[:, None]
     n = np.arange(n_max + 1)[None, :]
-    mat = binom.pmf(m, n, efficiency)
-    mat.flags.writeable = False
-    return mat
+    return _binomial_pmf(m, n, efficiency)
+
+
+@lru_cache(maxsize=256)
+def _lossy_weights(efficiency: float, target: int, n_max: int) -> np.ndarray:
+    """Read-only (2, n_max + 1) array: row ``target`` of L, and (1 - 2 mu)^n.
+
+    Dotted with a lossless distribution they give the lossy overlap with
+    |target> and the lossy parity.  The row holds the same binomial
+    probabilities as the matrix row.
+    """
+    n = np.arange(n_max + 1)
+    weights = np.stack(
+        [_binomial_pmf(target, n, efficiency), (1.0 - 2.0 * efficiency) ** n]
+    )
+    weights.flags.writeable = False
+    return weights
 
 
 def apply_loss(channel: LossChannel, stats: PhotonStatistics) -> PhotonStatistics:
-    """Loss-degraded distribution; keeps the input cutoff (loss only removes photons)."""
+    """Loss-degraded distribution; keeps the input cutoff (loss only removes photons).
+
+    Builds the dense (n_max + 1)^2 loss matrix: O(n_max^2) time and memory.
+    """
     mu = channel.efficiency
     if mu == 1.0:
         return stats
@@ -82,7 +119,10 @@ def apply_loss(channel: LossChannel, stats: PhotonStatistics) -> PhotonStatistic
 
 
 def invert_loss(channel: LossChannel, stats: PhotonStatistics) -> PhotonStatistics:
-    """Distribution q with apply_loss(channel, q) == stats, by back-substitution."""
+    """Distribution q with apply_loss(channel, q) == stats, by back-substitution.
+
+    Builds the dense (n_max + 1)^2 loss matrix: O(n_max^2) time and memory.
+    """
     mu = channel.efficiency
     if mu == 0.0:
         raise ValueError("a loss channel with zero efficiency is not invertible")

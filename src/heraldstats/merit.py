@@ -26,7 +26,7 @@ from .fock import (
     thermal_distribution,
 )
 from .heralding import HeraldConfig, herald
-from .loss import LossChannel, apply_loss
+from .loss import LossChannel, _lossy_weights
 
 __all__ = [
     "FigureOfMeritReport",
@@ -62,9 +62,10 @@ class FigureOfMeritReport:
     """All figures of merit for one parameter point.
 
     g2/g3 are evaluated on the lossless heralded statistics (they are
-    loss-invariant for a single mode); fidelity, parity and the mean come
-    from the loss-degraded statistics, with the mean also divided back by
-    the signal efficiency.
+    loss-invariant for a single mode).  Fidelity, parity and ``mean_lossy``
+    describe the state after the signal arm's loss; ``mean_loss_corrected``
+    is that mean divided back by the signal efficiency, which is the
+    lossless mean.
     """
 
     fidelity: float
@@ -82,12 +83,16 @@ class FigureOfMeritReport:
             raise ValueError(f"parity {self.parity!r} outside [-1, 1]")
 
 
+def _check_target(target: int, n_max: int) -> None:
+    if not 0 <= target <= n_max:
+        raise ValueError(
+            f"target photon number {target} exceeds the cutoff n_max = {n_max}"
+        )
+
+
 def fidelity(lossy_stats: PhotonStatistics, target: int) -> float:
     """Overlap with the m-photon target: the m-th entry of the statistics."""
-    if not 0 <= target <= lossy_stats.n_max:
-        raise ValueError(
-            f"target photon number {target} exceeds the cutoff n_max = {lossy_stats.n_max}"
-        )
+    _check_target(target, lossy_stats.n_max)
     return float(lossy_stats.probabilities[target])
 
 
@@ -208,10 +213,19 @@ def dark_count_ratio(config: HeraldConfig) -> float:
 def report(
     config: HeraldConfig, signal: LossChannel, target: int
 ) -> FigureOfMeritReport:
-    """Herald, degrade through the signal arm, and evaluate every figure of merit."""
+    """Herald, degrade through the signal arm, and evaluate every figure of merit.
+
+    The lossy figures of merit are O(n_max) functionals of the lossless
+    heralded distribution p, so the lossy vector is never built: the
+    fidelity is row ``target`` of the loss matrix dotted with p, the parity
+    is sum_n p_n (1 - 2 mu_s)^n, and the lossy mean is mu_s times the
+    lossless mean.  At mu_s = 0 the signal is vacuum and the values are
+    exact.
+    """
     heralded = herald(config)
     lossless = heralded.statistics
-    lossy = apply_loss(signal, lossless)
+    probs = lossless.probabilities
+    _check_target(target, lossless.n_max)
     lossless_mean = mean(lossless)
     if lossless_mean > 0.0:
         g2 = g_factorial(lossless, 2)
@@ -219,14 +233,20 @@ def report(
     else:
         g2 = math.nan
         g3 = math.nan
-    mean_lossy = mean(lossy)
     mu_s = signal.efficiency
+    if mu_s == 0.0:
+        fid, parity = float(target == 0), 1.0
+    else:
+        row, parity_weights = _lossy_weights(mu_s, target, lossless.n_max)
+        # p sums to one only to rounding, so a value at its bound can overshoot
+        fid = min(float(np.dot(row, probs)), 1.0)
+        parity = min(max(float(np.dot(parity_weights, probs)), -1.0), 1.0)
     return FigureOfMeritReport(
-        fidelity=fidelity(lossy, target),
+        fidelity=fid,
         g2=g2,
         g3=g3,
         success_probability=heralded.success_probability,
-        parity=parity_direct(lossy),
-        mean_lossy=mean_lossy,
-        mean_loss_corrected=mean_lossy / mu_s if mu_s > 0.0 else math.nan,
+        parity=parity,
+        mean_lossy=mu_s * lossless_mean,
+        mean_loss_corrected=lossless_mean if mu_s > 0.0 else math.nan,
     )

@@ -228,6 +228,22 @@ class TestSweepCommand:
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
         assert "unknown key(s) ['foms'] in outputs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [5, None, ["grid.csv"]])
+    def test_non_string_output_path_rejected(self, tmp_path, capsys, value):
+        spec = basic_spec(outputs={"path": value})
+        assert main(["sweep", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert "error: outputs.path must be a string" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("outputs", [{"format": "xml"}, {"path": 5}])
+    def test_bad_outputs_rejected_before_sweep(self, tmp_path, monkeypatch, outputs):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before its outputs were checked")
+
+        monkeypatch.setattr("heraldstats.cli.run_sweep", no_sweep)
+        assert main(["sweep", write_spec(tmp_path, basic_spec(outputs=outputs))]) == 2
+
     def test_fixed_car_at_floor_aborts(self, tmp_path, capsys):
         spec = basic_spec(source={"car": 2.0})
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2

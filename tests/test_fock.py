@@ -107,11 +107,9 @@ class TestThermalDistribution:
 
 class TestTruncation:
     def test_fixed_resolves_without_source(self):
-        assert Truncation.fixed(17).resolve_n_max() == 17
-
-    def test_adaptive_needs_source(self):
-        with pytest.raises(ValueError):
-            Truncation.adaptive().resolve_n_max(None)
+        # a fixed cutoff does not depend on the source it is resolved for
+        assert Truncation.fixed(17).resolve_n_max(TwinBeamSource(0.0)) == 17
+        assert Truncation.fixed(17).resolve_n_max(TwinBeamSource(50.0)) == 17
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -16,12 +16,15 @@ from heraldstats import (
     fidelity,
     g_factorial,
     herald,
+    mean,
     nbar_from_car,
     parity_direct,
     parity_from_moments,
     report,
     thermal_distribution,
 )
+
+from heraldstats.loss import _lossy_weights
 
 from conftest import config, detector
 
@@ -213,7 +216,7 @@ class TestReport:
         cfg = config(15.0, 1, 1.0)
         rep = report(cfg, LossChannel(0.6), 1)
         lossy = apply_loss(LossChannel(0.6), herald(cfg).statistics)
-        assert rep.parity == parity_direct(lossy)
+        assert rep.parity == pytest.approx(parity_direct(lossy), rel=1e-12, abs=1e-15)
 
     def test_vacuum_report(self):
         cfg = HeraldConfig(TwinBeamSource(0.0), detector(1.0, nu=0.0), 0)
@@ -222,3 +225,117 @@ class TestReport:
         assert rep.fidelity == 1.0
         assert math.isnan(rep.g2) and math.isnan(rep.g3)
         assert rep.success_probability == 1.0
+
+
+def assert_agrees(cfg, mu_s, target, tiny=0.0):
+    """report's lossy figures of merit against the full lossy vector of apply_loss.
+
+    Values below ``tiny`` are compared absolutely.
+    """
+    rep = report(cfg, LossChannel(mu_s), target)
+    lossy = apply_loss(LossChannel(mu_s), herald(cfg).statistics)
+    assert rep.fidelity == pytest.approx(fidelity(lossy, target), rel=1e-12, abs=tiny)
+    assert rep.parity == pytest.approx(parity_direct(lossy), rel=1e-12, abs=1e-15)
+    assert rep.mean_lossy == pytest.approx(mean(lossy), rel=1e-12, abs=tiny)
+    return rep
+
+
+class TestLossyFunctionals:
+    """report's O(n) loss functionals against the dense apply_loss route."""
+
+    @pytest.mark.parametrize("clicks", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mu_s", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_matches_apply_loss(self, clicks, mu_s):
+        for target in sorted({0, 1, clicks}):
+            assert_agrees(config(15.0, clicks, 0.8), mu_s, target)
+
+    def test_matches_apply_loss_near_floor(self):
+        cfg = config(2.01, 1, 0.8)
+        assert herald(cfg).statistics.n_max > 3200
+        assert_agrees(cfg, 0.7, 1)
+
+    @pytest.mark.parametrize("mu_s", [2.2250738585072014e-308, 1e-306, 1e-260, 1e-240])
+    def test_tiny_efficiency(self, mu_s):
+        # scipy's binomial pmf raises OverflowError for some mu_s below ~1e-305
+        for clicks in (0, 1, 2):
+            for target in (0, 1, 2):
+                assert_agrees(config(15.0, clicks, 0.8), mu_s, target)
+
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    def test_total_loss_is_exact_vacuum(self, target):
+        rep = report(config(15.0, 1, 0.8), LossChannel(0.0), target)
+        assert rep.fidelity == (1.0 if target == 0 else 0.0)
+        assert rep.parity == 1.0
+        assert rep.mean_lossy == 0.0
+        assert math.isnan(rep.mean_loss_corrected)
+
+    @pytest.mark.parametrize("clicks", [0, 1, 3])
+    def test_no_loss_is_bit_identical(self, clicks):
+        cfg = config(15.0, clicks, 0.8)
+        lossless = herald(cfg).statistics
+        rep = report(cfg, LossChannel(1.0), 1)
+        assert rep.fidelity == lossless.probabilities[1]
+        assert rep.parity == parity_direct(lossless)
+        assert rep.mean_lossy == mean(lossless)
+        assert rep.mean_loss_corrected == mean(lossless)
+
+    @pytest.mark.parametrize("mu_s", [0.0, 0.5, 1.0])
+    def test_target_beyond_cutoff_keeps_message(self, mu_s):
+        cfg = HeraldConfig(TwinBeamSource(0.1), detector(0.8), 1, Truncation.fixed(3))
+        with pytest.raises(ValueError, match=r"^target photon number 4 exceeds the cutoff n_max = 3$"):
+            report(cfg, LossChannel(mu_s), 4)
+
+    def test_weights_are_cached_and_read_only(self):
+        weights = _lossy_weights(0.7, 1, 50)
+        assert weights.shape == (2, 51)
+        assert _lossy_weights(0.7, 1, 50) is weights
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
+
+    def test_loss_row_matches_mpmath(self):
+        # Entries below 1e-20 weigh nothing in a fidelity; scipy's pmf keeps
+        # them to ~1e-12 relative (worst seen 9e-13 at m = 2048), the rest to
+        # ~1e-13.
+        mp = pytest.importorskip("mpmath").mp
+        n_max = 4096
+        n_grid = sorted(set(np.unique(np.geomspace(1, n_max, 60).astype(int))) | {0, n_max})
+        with mp.workdps(40):
+            for mu in (2.2250738585072014e-308, 1e-260, 1e-3, 0.3, 0.5, 0.7, 0.999):
+                for target in (0, 1, 2, 5, 100, 2048):
+                    row, parity_weights = _lossy_weights(mu, target, n_max)
+                    exact_mu = mp.mpf(mu)
+                    for n in n_grid + [round(min(n_max, target / mu))]:
+                        ref = (
+                            mp.binomial(n, target) * exact_mu**target * (1 - exact_mu) ** (n - target)
+                            if n >= target
+                            else mp.mpf(0)
+                        )
+                        if ref > mp.mpf("1e-250"):
+                            tol = 1e-12 if ref > mp.mpf("1e-20") else 1e-11
+                            assert abs(mp.mpf(row[n]) / ref - 1) <= tol, (mu, target, n)
+                        else:
+                            assert abs(row[n]) <= 1e-249
+                        ref_parity = (1 - 2 * exact_mu) ** n
+                        assert abs(mp.mpf(parity_weights[n]) - ref_parity) <= 1e-12 * abs(ref_parity) + 1e-300
+
+
+class TestLossyProperties:
+    def test_bounds_and_agreement(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(
+            car=st.floats(2.5, 500.0),
+            clicks=st.integers(0, 3),
+            mu_h=st.floats(0.05, 1.0),
+            mu_s=st.floats(0.0, 1.0),
+            target=st.integers(0, 4),
+        )
+        def check(car, clicks, mu_h, mu_s, target):
+            # at subnormal mu_s results below ~1e-308 carry absolute rounding
+            rep = assert_agrees(config(car, clicks, mu_h), mu_s, target, tiny=1e-300)
+            assert 0.0 <= rep.fidelity <= 1.0
+            assert abs(rep.parity) <= 1.0
+
+        check()
