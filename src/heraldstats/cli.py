@@ -1,9 +1,16 @@
 """Command-line front end: single-point reports, sweeps from JSON specs, calibration.
 
-Exit statuses: 0 success, 1 domain/numerical error, 2 usage or spec error.
-Sweep results go out as CSV (LF line endings, '.' decimals) or JSON, with
-numbers serialized to 12 significant digits so downstream tolerances are
-never limited by the serialization.
+Exit statuses: 0 success, 1 domain/numerical error, 2 usage or spec error,
+including an output path that cannot be written.  Sweep results go out as
+CSV (LF line endings, '.' decimals) or JSON, with numbers serialized to 12
+significant digits so downstream tolerances are never limited by the
+serialization.
+
+Outside input is checked once, here: ``_SPEC_SCHEMA`` declares every spec
+section, its keys and each key's type, ``_truncation`` builds the cutoff
+policy from the flags or the spec's ``truncation`` section (flags win), and
+an output destination is checked before any point is evaluated.  The
+library does not check again what it derives from these values.
 """
 
 from __future__ import annotations
@@ -17,13 +24,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .detector import ClickDetectorArray
-from .fock import (
-    DEFAULT_TAIL_EPSILON,
-    DEFAULT_TRUNCATION,
-    TRUNCATION_CAP,
-    Truncation,
-    mean,
-)
+from .fock import DEFAULT_TAIL_EPSILON, TRUNCATION_CAP, Truncation, mean
 from .heralding import HeraldConfig, herald
 from .sweep import (
     FOM_NAMES,
@@ -44,7 +45,7 @@ DEFAULT_DARK_COUNT = 5e-4
 
 
 class SpecError(Exception):
-    """Malformed sweep spec or flag combination; maps to exit status 2."""
+    """Malformed sweep spec, flag combination or output path; maps to exit status 2."""
 
 
 def _fmt(value: float) -> str:
@@ -81,8 +82,17 @@ def _write_records(records: Sequence[SweepRecord], fmt: str, out: str | None) ->
         text = _records_to_json(records)
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise SpecError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+
+
+def _check_destination(out: str | None) -> None:
+    """Fail before any work when ``out`` names no file in an existing directory."""
+    if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise SpecError(f"cannot write {out!r}: not a file in an existing directory")
 
 
 def _records_to_csv(records: Sequence[SweepRecord]) -> str:
@@ -100,17 +110,20 @@ def _records_to_json(records: Sequence[SweepRecord]) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def _truncation_from_args(args) -> Truncation:
-    if args.truncation is not None and args.tail_eps is not None:
-        raise SpecError("--truncation and --tail-eps are mutually exclusive")
+def _truncation(n_max: int | None, tail_epsilon: float | None, cap: int | None) -> Truncation:
+    """Cutoff policy: fixed at ``n_max`` if given, else adaptive; ``cap`` bounds either."""
+    if n_max is not None and tail_epsilon is not None:
+        raise SpecError("n_max (--truncation) and tail_epsilon (--tail-eps) are mutually "
+                        "exclusive")
     try:
-        if args.truncation is not None:
-            return Truncation.fixed(args.truncation)
-        if args.tail_eps is not None:
-            return Truncation.adaptive(args.tail_eps)
+        if n_max is not None:
+            return Truncation.fixed(n_max, cap=cap)
+        return Truncation.adaptive(
+            DEFAULT_TAIL_EPSILON if tail_epsilon is None else tail_epsilon,
+            cap=TRUNCATION_CAP if cap is None else cap,
+        )
     except ValueError as exc:
         raise SpecError(f"bad truncation: {exc}") from exc
-    return DEFAULT_TRUNCATION
 
 
 def _output_options(parser: argparse.ArgumentParser) -> None:
@@ -162,6 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_report(args) -> int:
+    trunc = _truncation(args.truncation, args.tail_eps, None)
+    _check_destination(args.out)
     record = evaluate_point(
         args.car,
         args.nbar,
@@ -171,7 +186,7 @@ def cmd_report(args) -> int:
         target=args.target if args.target is not None else args.clicks,
         num_detectors=args.detectors,
         dark_count_prob=args.nu,
-        trunc=_truncation_from_args(args),
+        trunc=trunc,
     )
     width = max(len(name) for name in CSV_COLUMNS)
     for name, text in zip(CSV_COLUMNS, _cells(record, lambda value: _fmt(value) or "nan")):
@@ -181,53 +196,54 @@ def cmd_report(args) -> int:
     return 0
 
 
-_AXIS_KEYS = {"parameter", "min", "max", "steps", "scale"}
+#: Every spec section's keys and each key's type: "spec" is the top level and
+#: "axis" one entry of its axes list.  A float key takes any JSON number.
+_SPEC_SCHEMA: dict[str, dict[str, type]] = {
+    "spec": {
+        "detector": dict, "source": dict, "signal": dict, "herald": dict,
+        "target": dict, "axes": list, "truncation": dict, "outputs": dict,
+    },
+    "detector": {"N": int, "nu": float, "mu_h": float},
+    "source": {"car": float, "nbar": float},
+    "signal": {"mu_s": float},
+    "herald": {"k": int},
+    "target": {"m": int},
+    "truncation": {"n_max": int, "tail_epsilon": float, "cap": int},
+    "outputs": {"format": str, "path": str},
+    "axis": {"parameter": str, "min": float, "max": float, "steps": int, "scale": str},
+}
+#: Keys a section must give.
+_SPEC_REQUIRED = {"herald": ("k",), "axis": ("parameter", "min", "max", "steps")}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object",
+               list: "a list"}
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(section, dict):
+def _section(obj: Any, name: str, where: str | None = None) -> dict[str, Any]:
+    """The keys ``obj`` gives, each checked against the schema of section ``name``."""
+    where = where or name
+    if not isinstance(obj, dict):
         raise SpecError(f"{where} must be an object")
-    unknown = set(section) - allowed
+    keys = _SPEC_SCHEMA[name]
+    unknown = set(obj) - set(keys)
     if unknown:
         raise SpecError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _spec_number(
-    section: dict, key: str, where: str, default: float | None = None
-) -> float | None:
-    if key not in section:
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{where}.{key} must be a number")
-    return float(value)
-
-
-def _spec_int(section: dict, key: str, where: str, default: int | None = None) -> int | None:
-    if key not in section:
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"{where}.{key} must be an integer")
-    return value
-
-
-def _parse_axis(obj: Any) -> SweepAxis:
-    if not isinstance(obj, dict):
-        raise SpecError("each axis must be an object")
-    _require_keys(obj, _AXIS_KEYS, "axes[]")
-    for key in ("parameter", "min", "max", "steps"):
+    for key in _SPEC_REQUIRED.get(name, ()):
         if key not in obj:
-            raise SpecError(f"axis is missing {key!r}")
+            raise SpecError(f"{where} is missing {key!r}")
+    values = {}
+    for key, value in obj.items():
+        kind = keys[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise SpecError(f"{where}.{key} must be {_TYPE_NAMES[kind]}")
+        values[key] = kind(value)
+    return values
+
+
+def _parse_axis(obj: Any, where: str) -> SweepAxis:
     try:
-        return SweepAxis(
-            parameter=obj["parameter"],
-            min=float(obj["min"]),
-            max=float(obj["max"]),
-            steps=int(obj["steps"]),
-            scale=obj.get("scale", "linear"),
-        )
-    except (TypeError, ValueError) as exc:
+        return SweepAxis(**_section(obj, "axis", where))
+    except ValueError as exc:
         raise SpecError(f"bad axis: {exc}") from exc
 
 
@@ -240,78 +256,40 @@ def _load_spec(path: str) -> dict:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(spec, dict):
-        raise SpecError("spec must be a JSON object")
-    return spec
+    return _section(spec, "spec")
 
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args.spec)
-    _require_keys(
-        spec,
-        {"detector", "source", "signal", "herald", "target", "axes", "truncation", "outputs"},
-        "spec",
+    detector, source, signal, herald_section, target_section, trunc_section, outputs = (
+        _section(spec.get(name, {}), name)
+        for name in ("detector", "source", "signal", "herald", "target", "truncation", "outputs")
     )
-
-    detector = spec.get("detector", {})
-    _require_keys(detector, {"N", "nu", "mu_h"}, "detector")
-    source = spec.get("source", {})
-    _require_keys(source, {"car", "nbar"}, "source")
+    axes = [_parse_axis(obj, f"axes[{i}]") for i, obj in enumerate(spec.get("axes", []))]
     if "car" in source and "nbar" in source:
         raise SpecError("source must give exactly one of car or nbar")
-    signal = spec.get("signal", {})
-    _require_keys(signal, {"mu_s"}, "signal")
-    herald_section = spec.get("herald", {})
-    _require_keys(herald_section, {"k"}, "herald")
-    if "k" not in herald_section:
-        raise SpecError("herald section must give the click count k")
-    target_section = spec.get("target", {})
-    _require_keys(target_section, {"m"}, "target")
-    outputs = spec.get("outputs", {})
-    _require_keys(outputs, {"format", "path"}, "outputs")
     fmt = args.format or outputs.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise SpecError(f"unknown output format {fmt!r}")
-    if not isinstance(outputs.get("path", ""), str):
-        raise SpecError("outputs.path must be a string")
-    out = args.out or outputs.get("path")
-
-    trunc_section = spec.get("truncation")
-    if trunc_section is not None:
-        _require_keys(trunc_section, {"n_max", "tail_epsilon", "cap"}, "truncation")
-        if "n_max" in trunc_section and "tail_epsilon" in trunc_section:
-            raise SpecError("truncation must give n_max or tail_epsilon, not both")
-        n_max = _spec_int(trunc_section, "n_max", "truncation")
-        tail = _spec_number(trunc_section, "tail_epsilon", "truncation")
-        cap = _spec_int(trunc_section, "cap", "truncation")
-        try:
-            if n_max is not None:
-                trunc = Truncation.fixed(n_max, cap=cap)
-            else:
-                trunc = Truncation.adaptive(
-                    tail if tail is not None else DEFAULT_TAIL_EPSILON,
-                    cap=cap if cap is not None else TRUNCATION_CAP,
-                )
-        except ValueError as exc:
-            raise SpecError(f"bad truncation: {exc}") from exc
-    else:
-        trunc = _truncation_from_args(args)
-
-    axes_section = spec.get("axes", [])
-    if not isinstance(axes_section, list):
-        raise SpecError("axes must be a list")
-    axes = [_parse_axis(obj) for obj in axes_section]
+    out = args.out if args.out is not None else outputs.get("path")
+    _check_destination(out)
+    if args.truncation is not None or args.tail_eps is not None:
+        # the flags replace the section's cutoff; its cap still applies
+        trunc_section.update(n_max=args.truncation, tail_epsilon=args.tail_eps)
+    trunc = _truncation(
+        trunc_section.get("n_max"), trunc_section.get("tail_epsilon"), trunc_section.get("cap")
+    )
     try:
         records = run_sweep(
             axes,
-            clicks=_spec_int(herald_section, "k", "herald"),
-            target=_spec_int(target_section, "m", "target"),
-            num_detectors=_spec_int(detector, "N", "detector", DEFAULT_NUM_DETECTORS),
-            dark_count_prob=_spec_number(detector, "nu", "detector", DEFAULT_DARK_COUNT),
-            car=_spec_number(source, "car", "source"),
-            nbar=_spec_number(source, "nbar", "source"),
-            mu_h=_spec_number(detector, "mu_h", "detector"),
-            mu_s=_spec_number(signal, "mu_s", "signal"),
+            clicks=herald_section["k"],
+            target=target_section.get("m"),
+            num_detectors=detector.get("N", DEFAULT_NUM_DETECTORS),
+            dark_count_prob=detector.get("nu", DEFAULT_DARK_COUNT),
+            car=source.get("car"),
+            nbar=source.get("nbar"),
+            mu_h=detector.get("mu_h"),
+            mu_s=signal.get("mu_s"),
             trunc=trunc,
         )
     except ValueError as exc:
@@ -321,7 +299,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    trunc = _truncation_from_args(args)
+    trunc = _truncation(args.truncation, args.tail_eps, None)
     if args.car is None and not args.nbar > 0:
         raise ValueError("calibration needs nbar > 0")
     car, nbar, source = _source_for(args.car, args.nbar)

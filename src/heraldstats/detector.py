@@ -93,7 +93,7 @@ def _clipped_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> n
     weights = _click_weights(detector, clicks, n_max)
     low = float(weights.min())
     high = float(weights.max())
-    if low < -_WEIGHT_TOL or high > 1.0 + _WEIGHT_TOL:
+    if not (low >= -_WEIGHT_TOL and high <= 1.0 + _WEIGHT_TOL):  # NaN fails too
         raise ValueError(f"click weights outside [0, 1]: min {low:.3e}, max {high:.3e}")
     np.clip(weights, 0.0, 1.0, out=weights)
     weights.flags.writeable = False

@@ -59,8 +59,6 @@ class HeraldedState:
     def __init__(
         self, statistics: PhotonStatistics, success_probability: float, config: HeraldConfig
     ):
-        if not 0.0 <= success_probability <= 1.0:
-            raise ValueError(f"success probability {success_probability!r} outside [0, 1]")
         self.statistics = statistics
         self.success_probability = success_probability
         self.config = config
@@ -95,7 +93,8 @@ def herald(config: HeraldConfig) -> HeraldedState:
             f"efficiency={config.detector.efficiency!r}, "
             f"dark_count_prob={config.detector.dark_count_prob!r}"
         )
-    statistics = PhotonStatistics.from_unnormalized(unnormalized)
+    # Validated click weights times a validated thermal vector: nonnegative and finite.
+    statistics = PhotonStatistics._trusted(unnormalized / total)
     return HeraldedState(statistics, min(total, 1.0), config)
 
 

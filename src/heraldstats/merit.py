@@ -76,12 +76,6 @@ class FigureOfMeritReport:
     mean_lossy: float
     mean_loss_corrected: float
 
-    def __post_init__(self):
-        if not -1e-10 <= self.fidelity <= 1.0 + 1e-10:
-            raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
-        if abs(self.parity) > 1.0 + 1e-10:
-            raise ValueError(f"parity {self.parity!r} outside [-1, 1]")
-
 
 def _check_target(target: int, n_max: int) -> None:
     if not 0 <= target <= n_max:

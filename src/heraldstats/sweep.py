@@ -67,6 +67,8 @@ class SweepAxis:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if self.scale not in ("linear", "logarithmic"):
             raise ValueError(f"unknown axis scale {self.scale!r}")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError(f"axis min and max must be finite, got {self.min!r}, {self.max!r}")
         if self.steps < 1:
             raise ValueError("axis needs at least one step")
         if self.steps > 1 and not self.min < self.max:

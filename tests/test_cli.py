@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from heraldstats import LossChannel, report
+from heraldstats import LossChannel, Truncation, report
 from heraldstats.cli import CSV_COLUMNS, main
 
 from conftest import config
@@ -179,10 +179,31 @@ class TestSweepCommand:
         spec = basic_spec(source={"car": 15.0, "nbar": 0.1})
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
 
-    def test_non_numeric_value_rejected(self, tmp_path, capsys):
-        spec = basic_spec(source={"car": "fifteen"})
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("source", "car", "fifteen", "source.car must be a number"),
+            ("axes", "steps", 2.9, "axes[0].steps must be an integer"),
+            ("axes", "steps", True, "axes[0].steps must be an integer"),
+            ("axes", "min", "0.4", "axes[0].min must be a number"),
+            ("axes", "scale", 3, "axes[0].scale must be a string"),
+            ("truncation", "cap", 1.5, "truncation.cap must be an integer"),
+        ],
+        ids=["car-string", "steps-float", "steps-bool", "min-string", "scale-int", "cap-float"],
+    )
+    def test_non_numeric_value_rejected(self, tmp_path, capsys, section, key, value, message):
+        spec = basic_spec(truncation={})
+        (spec["axes"][0] if section == "axes" else spec[section])[key] = value
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
-        assert "must be a number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_axis_rejected(self, tmp_path, capsys):
+        spec = basic_spec(source={}, axes=[
+            {"parameter": "car", "min": 3.0, "max": math.inf, "steps": 4},
+            {"parameter": "mu_h", "min": 0.4, "max": 0.6, "steps": 3},
+        ])
+        assert main(["sweep", write_spec(tmp_path, spec)]) == 2
+        assert "bad axis: axis min and max must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section,key", [("detector", "nu"), ("detector", "N"), ("herald", "k")]
@@ -223,6 +244,27 @@ class TestSweepCommand:
         out = tmp_path / "grid.csv"
         assert main(["sweep", write_spec(tmp_path, spec), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "flag,expected",
+        [
+            (["--truncation", "64"], Truncation.fixed(64)),
+            (["--tail-eps", "1e-8"], Truncation.adaptive(1e-8)),
+        ],
+    )
+    def test_truncation_flags_override_section(self, tmp_path, monkeypatch, flag, expected):
+        used = {}
+        monkeypatch.setattr(
+            "heraldstats.cli.run_sweep", lambda axes, **kwargs: used.update(kwargs) or []
+        )
+        path = write_spec(tmp_path, basic_spec(truncation={"n_max": 5}))
+        assert main(["sweep", path] + flag) == 0
+        assert used["trunc"] == expected
+
+    def test_both_truncation_flags_with_section_rejected(self, tmp_path, capsys):
+        path = write_spec(tmp_path, basic_spec(truncation={"n_max": 5}))
+        assert main(["sweep", path, "--truncation", "64", "--tail-eps", "1e-8"]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
     def test_bad_fom_name_in_outputs(self, tmp_path, capsys):
         spec = basic_spec(outputs={"foms": ["sparkle"]})
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
@@ -243,6 +285,33 @@ class TestSweepCommand:
 
         monkeypatch.setattr("heraldstats.cli.run_sweep", no_sweep)
         assert main(["sweep", write_spec(tmp_path, basic_spec(outputs=outputs))]) == 2
+
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+    def test_unwritable_output_rejected_before_work(
+        self, tmp_path, monkeypatch, capsys, command, where
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("points were evaluated before the output path was checked")
+
+        monkeypatch.setattr("heraldstats.cli.run_sweep", no_work)
+        monkeypatch.setattr("heraldstats.cli.evaluate_point", no_work)
+        out = {"missing-directory": str(tmp_path / "missing" / "x.csv"),
+               "directory": str(tmp_path), "empty": ""}[where]
+        if command == "report":
+            argv = ["report", "--car", "15", "--clicks", "1", "--mu-h", "1", "--mu-s", "1"]
+        else:
+            argv = ["sweep", write_spec(tmp_path, basic_spec())]
+        assert main(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot write {out!r}" in captured.err
+        assert captured.out == ""
+
+    def test_failed_write_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("heraldstats.cli._check_destination", lambda out: None)
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main(["sweep", write_spec(tmp_path, basic_spec()), "--out", out]) == 2
+        assert f"error: cannot write {out!r}: No such file" in capsys.readouterr().err
 
     def test_fixed_car_at_floor_aborts(self, tmp_path, capsys):
         spec = basic_spec(source={"car": 2.0})

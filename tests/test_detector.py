@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from heraldstats import ClickDetectorArray, povm_diagonal, povm_weight
+from heraldstats.detector import _clipped_weights
 
 
 def occupancy_probability(num_detectors, efficiency, clicks, photons):
@@ -103,6 +104,14 @@ class TestPovmProperties:
         diag = povm_diagonal(det, 2, 30)
         for n in range(31):
             assert diag[n] == pytest.approx(povm_weight(det, 2, n), abs=1e-13)
+
+    def test_nan_weight_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            "heraldstats.detector._click_weights", lambda *args: np.array([0.5, math.nan])
+        )
+        det = ClickDetectorArray(efficiency=0.123, num_detectors=3, dark_count_prob=0.0)
+        with pytest.raises(ValueError, match="outside"):
+            _clipped_weights(det, 1, 1)
 
 
 class TestHighPrecisionOracle:

@@ -50,6 +50,12 @@ class TestSweepAxis:
             SweepAxis("mu_s", 0.8, 0.2, 5)
         with pytest.raises(ValueError):
             SweepAxis("mu_h", 0.1, 1.0, 5, scale="cubic")
+        with pytest.raises(ValueError, match="finite"):
+            SweepAxis("car", 3.0, math.inf, 5)
+        with pytest.raises(ValueError, match="finite"):
+            SweepAxis("car", math.inf, math.inf, 1)
+        with pytest.raises(ValueError, match="finite"):
+            SweepAxis("car", 3.0, math.inf, 5, scale="logarithmic")
 
 
 class TestRunSweep:
