@@ -43,12 +43,10 @@ from .merit import (
     report,
 )
 from .sweep import (
+    COLUMNS,
     FOM_NAMES,
-    RegionMask,
     SweepAxis,
-    SweepRecord,
     find_optimum,
-    fom_value,
     mean_vs_car_curve,
     run_sweep,
     threshold_region,
@@ -90,12 +88,10 @@ __all__ = [
     "parity_direct",
     "parity_from_moments",
     "report",
+    "COLUMNS",
     "FOM_NAMES",
-    "RegionMask",
     "SweepAxis",
-    "SweepRecord",
     "find_optimum",
-    "fom_value",
     "mean_vs_car_curve",
     "run_sweep",
     "threshold_region",

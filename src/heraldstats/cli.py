@@ -1,44 +1,43 @@
 """Command-line front end: single-point reports, sweeps from JSON specs, calibration.
 
 Exit statuses: 0 success, 1 domain/numerical error, 2 usage or spec error,
-including an output path that cannot be written.  Sweep results go out as
-CSV (LF line endings, '.' decimals) or JSON, with numbers serialized to 12
-significant digits so downstream tolerances are never limited by the
-serialization.
+including an output path that cannot be written.  Both ``report`` and
+``sweep`` evaluate through ``run_sweep`` (``report`` as a sweep with no
+axes) and write its table: CSV (LF line endings, '.' decimals) or JSON,
+with numbers serialized to 12 significant digits so downstream tolerances
+are never limited by the serialization.  Each CSV row is rendered cell by
+cell (non-finite cells empty) and written by ``csv.writer``, which quotes
+the status where needed.
 
 Outside input is checked once, here: ``_SPEC_SCHEMA`` declares every spec
-section, its keys and each key's type, ``_truncation`` builds the cutoff
-policy from the flags or the spec's ``truncation`` section (flags win), and
-an output destination is checked before any point is evaluated.  The
-library does not check again what it derives from these values.
+section, its keys and each key's type (numbers must be finite),
+``_truncation`` builds the cutoff policy from the flags or the spec's
+``truncation`` section (flags win), and an output destination is checked
+before any point is evaluated.  The library does not check again what it
+derives from these values.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from .detector import ClickDetectorArray
 from .fock import DEFAULT_TAIL_EPSILON, TRUNCATION_CAP, Truncation, mean
 from .heralding import HeraldConfig, herald
-from .sweep import (
-    FOM_NAMES,
-    SweepAxis,
-    SweepRecord,
-    _source_for,
-    evaluate_point,
-    fom_value,
-    run_sweep,
-)
+from .sweep import COLUMNS, SweepAxis, _source_for, run_sweep
 
 __all__ = ["main", "run", "CSV_COLUMNS"]
 
-CSV_COLUMNS = ["car", "nbar", "mu_h", "mu_s", "k", "target", *FOM_NAMES, "status"]
+CSV_COLUMNS = COLUMNS
 
 DEFAULT_NUM_DETECTORS = 4
 DEFAULT_DARK_COUNT = 5e-4
@@ -60,26 +59,26 @@ def _json_number(value: float):
     return float(f"{value:.12g}")
 
 
-def _cells(record: SweepRecord, number) -> list:
-    """The record's cells in CSV_COLUMNS order, each float cell rendered by ``number``."""
-    cells = [
-        record.car,
-        record.nbar,
-        record.mu_h,
-        record.mu_s,
-        record.clicks,
-        record.target,
-        *(fom_value(record, name) for name in FOM_NAMES),
-        record.status,
-    ]
-    return [number(cell) if isinstance(cell, float) else cell for cell in cells]
+def _rows(table: dict[str, np.ndarray]):
+    """The table's rows as tuples of Python cells, in CSV_COLUMNS order."""
+    return zip(*(table[name].tolist() for name in CSV_COLUMNS))
 
 
-def _write_records(records: Sequence[SweepRecord], fmt: str, out: str | None) -> None:
+def _render(row, number) -> list:
+    """The row's cells with each float cell rendered by ``number``."""
+    return [number(cell) if isinstance(cell, float) else cell for cell in row]
+
+
+def _write_table(table: dict[str, np.ndarray], fmt: str, out: str | None) -> None:
     if fmt == "csv":
-        text = _records_to_csv(records)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(_render(row, _fmt) for row in _rows(table))
+        text = buffer.getvalue()
     else:
-        text = _records_to_json(records)
+        rows = [dict(zip(CSV_COLUMNS, _render(row, _json_number))) for row in _rows(table)]
+        text = json.dumps(rows, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
@@ -93,21 +92,6 @@ def _check_destination(out: str | None) -> None:
     """Fail before any work when ``out`` names no file in an existing directory."""
     if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
         raise SpecError(f"cannot write {out!r}: not a file in an existing directory")
-
-
-def _records_to_csv(records: Sequence[SweepRecord]) -> str:
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(_cells(record, _fmt) for record in records)
-    return buffer.getvalue()
-
-
-def _records_to_json(records: Sequence[SweepRecord]) -> str:
-    rows = [dict(zip(CSV_COLUMNS, _cells(record, _json_number))) for record in records]
-    return json.dumps(rows, indent=2) + "\n"
 
 
 def _truncation(n_max: int | None, tail_epsilon: float | None, cap: int | None) -> Truncation:
@@ -131,6 +115,9 @@ def _output_options(parser: argparse.ArgumentParser) -> None:
                         help="structured output format (default csv)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write structured output to PATH")
+
+
+def _truncation_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--truncation", type=int, metavar="N_MAX", default=None,
                         help="fixed photon-number cutoff")
     parser.add_argument("--tail-eps", type=float, metavar="EPS", default=None,
@@ -158,46 +145,56 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--nu", type=float, default=DEFAULT_DARK_COUNT,
                      help="dark-count parameter of the array")
     _output_options(rep)
+    _truncation_options(rep)
     rep.set_defaults(func=cmd_report)
 
     swp = sub.add_parser("sweep", help="grid scan driven by a JSON spec file")
     swp.add_argument("spec", help="path to the sweep spec (JSON)")
     _output_options(swp)
+    _truncation_options(swp)
     swp.set_defaults(func=cmd_sweep)
 
     cal = sub.add_parser("calibrate", help="CAR/nbar conversion table")
     group = cal.add_mutually_exclusive_group(required=True)
     group.add_argument("--car", type=float)
     group.add_argument("--nbar", type=float)
-    _output_options(cal)
+    _truncation_options(cal)
     cal.set_defaults(func=cmd_calibrate)
     return parser
 
 
 def cmd_report(args) -> int:
+    if args.format is not None and args.out is None:
+        raise SpecError("--format needs --out")
     trunc = _truncation(args.truncation, args.tail_eps, None)
     _check_destination(args.out)
-    record = evaluate_point(
-        args.car,
-        args.nbar,
-        args.mu_h,
-        args.mu_s,
+    table = run_sweep(
+        [],
         clicks=args.clicks,
-        target=args.target if args.target is not None else args.clicks,
+        target=args.target,
         num_detectors=args.detectors,
         dark_count_prob=args.nu,
+        car=args.car,
+        nbar=args.nbar,
+        mu_h=args.mu_h,
+        mu_s=args.mu_s,
         trunc=trunc,
     )
+    status = table["status"][0]
+    if status != "ok":
+        print(status, file=sys.stderr)
+        return 1
     width = max(len(name) for name in CSV_COLUMNS)
-    for name, text in zip(CSV_COLUMNS, _cells(record, lambda value: _fmt(value) or "nan")):
+    (row,) = _rows(table)
+    for name, text in zip(CSV_COLUMNS, _render(row, lambda value: _fmt(value) or "nan")):
         print(f"{name:<{width}}  {text}")
     if args.out is not None:
-        _write_records([record], args.format or "csv", args.out)
+        _write_table(table, args.format or "csv", args.out)
     return 0
 
 
 #: Every spec section's keys and each key's type: "spec" is the top level and
-#: "axis" one entry of its axes list.  A float key takes any JSON number.
+#: "axis" one entry of its axes list.  A float key takes any finite JSON number.
 _SPEC_SCHEMA: dict[str, dict[str, type]] = {
     "spec": {
         "detector": dict, "source": dict, "signal": dict, "herald": dict,
@@ -236,7 +233,12 @@ def _section(obj: Any, name: str, where: str | None = None) -> dict[str, Any]:
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise SpecError(f"{where}.{key} must be {_TYPE_NAMES[kind]}")
-        values[key] = kind(value)
+        try:
+            values[key] = kind(value)
+        except OverflowError:  # an integer beyond the float range
+            values[key] = math.inf
+        if kind is float and not math.isfinite(values[key]):
+            raise SpecError(f"{where}.{key} must be a finite number")
     return values
 
 
@@ -280,7 +282,7 @@ def cmd_sweep(args) -> int:
         trunc_section.get("n_max"), trunc_section.get("tail_epsilon"), trunc_section.get("cap")
     )
     try:
-        records = run_sweep(
+        table = run_sweep(
             axes,
             clicks=herald_section["k"],
             target=target_section.get("m"),
@@ -294,7 +296,7 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
-    _write_records(records, fmt, out)
+    _write_table(table, fmt, out)
     return 0
 
 

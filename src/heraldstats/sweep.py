@@ -1,16 +1,21 @@
 """Grid scans over (CAR, mu_h, mu_s), region thresholding, optimum finding.
 
-Every grid point is an independent pure evaluation of ``merit.report``;
-records come out in row-major order over the axes as declared, so two runs
-of the same sweep are bit-identical.  Points where the herald is impossible
-(or any other domain failure occurs) are kept as error-marked records so
-exports stay rectangular.
+Every grid point is an independent pure evaluation of ``merit.report``.  A
+sweep returns one table, a dict of arrays keyed by the export ``COLUMNS``:
+float64 coordinates and figures of merit (NaN where a point has none),
+int64 ``k`` and ``target``, and a ``status`` string per row.  Rows come in
+row-major order over the axes as declared, so two runs of the same sweep
+are bit-identical.  Points where the herald is impossible (or any other
+domain failure occurs) stay as error-marked rows so exports stay
+rectangular.  A threshold region is a boolean mask over the rows, and an
+optimum is a row index.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,15 +32,13 @@ from .fock import (
 )
 from .heralding import HeraldConfig, herald
 from .loss import LossChannel
-from .merit import FigureOfMeritReport, report
+from .merit import report
 
 __all__ = [
     "SWEEP_PARAMETERS",
     "FOM_NAMES",
+    "COLUMNS",
     "SweepAxis",
-    "SweepRecord",
-    "RegionMask",
-    "evaluate_point",
     "run_sweep",
     "threshold_region",
     "find_optimum",
@@ -44,12 +47,7 @@ __all__ = [
 
 SWEEP_PARAMETERS = ("car", "mu_h", "mu_s")
 
-_COMPARATORS = {
-    ">=": lambda value, level: value >= level,
-    "<=": lambda value, level: value <= level,
-    ">": lambda value, level: value > level,
-    "<": lambda value, level: value < level,
-}
+_COMPARATORS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
 
 
 @dataclass(frozen=True)
@@ -90,24 +88,6 @@ class SweepAxis:
         return np.linspace(self.min, self.max, self.steps)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point: coordinates, herald setting, report (or error marker)."""
-
-    car: float
-    nbar: float
-    mu_h: float
-    mu_s: float
-    clicks: int
-    target: int
-    report: FigureOfMeritReport | None
-    status: str = "ok"
-
-    @property
-    def ok(self) -> bool:
-        return self.report is not None
-
-
 #: Figure-of-merit export column -> FigureOfMeritReport attribute, in export order.
 _FOM_COLUMNS = {
     "fidelity": "fidelity",
@@ -121,28 +101,9 @@ _FOM_COLUMNS = {
 
 FOM_NAMES = tuple(_FOM_COLUMNS)
 
-
-def fom_value(record: SweepRecord, name: str) -> float:
-    """Figure-of-merit accessor by export column name."""
-    if record.report is None:
-        return math.nan
-    if name not in _FOM_COLUMNS:
-        raise ValueError(f"unknown figure of merit {name!r}")
-    return getattr(record.report, _FOM_COLUMNS[name])
-
-
-@dataclass(frozen=True)
-class RegionMask:
-    """Grid indices satisfying one threshold predicate, plus axis extents."""
-
-    fom: str
-    comparator: str
-    level: float
-    indices: tuple[int, ...]
-    extents: dict[str, tuple[float, float]]
-
-    def __len__(self) -> int:
-        return len(self.indices)
+#: The sweep table's columns, in export order.
+COLUMNS = ["car", "nbar", "mu_h", "mu_s", "k", "target", *FOM_NAMES, "status"]
+_DTYPES = {"k": np.int64, "target": np.int64, "status": object}
 
 
 def _validate_assignment(axes, car, nbar, mu_h, mu_s):
@@ -169,40 +130,6 @@ def _source_for(car: float | None, nbar: float | None) -> tuple[float, float, Tw
     return car_value, float(nbar), source
 
 
-def evaluate_point(
-    car: float | None,
-    nbar: float | None,
-    mu_h: float,
-    mu_s: float,
-    *,
-    clicks: int,
-    target: int,
-    num_detectors: int,
-    dark_count_prob: float,
-    trunc: Truncation,
-) -> SweepRecord:
-    """Record of one grid point; raises the domain error of a point that fails.
-
-    The source is fixed by ``car`` when given, else by ``nbar``.
-    """
-    car_value, nbar_value, source = _source_for(car, nbar)
-    detector = ClickDetectorArray(
-        efficiency=mu_h,
-        num_detectors=num_detectors,
-        dark_count_prob=dark_count_prob,
-    )
-    config = HeraldConfig(source, detector, clicks, trunc)
-    return SweepRecord(
-        car=car_value,
-        nbar=nbar_value,
-        mu_h=mu_h,
-        mu_s=mu_s,
-        clicks=clicks,
-        target=target,
-        report=report(config, LossChannel(mu_s), target),
-    )
-
-
 def run_sweep(
     axes: Sequence[SweepAxis],
     *,
@@ -215,13 +142,16 @@ def run_sweep(
     mu_h: float | None = None,
     mu_s: float | None = None,
     trunc: Truncation = DEFAULT_TRUNCATION,
-) -> list[SweepRecord]:
+) -> dict[str, np.ndarray]:
     """Evaluate the report on every grid point, row-major over the declared axes.
 
-    Each of car (or nbar), mu_h and mu_s must appear exactly once, either as
-    an axis or as a fixed value.  The target photon number defaults to the
+    Returns the sweep table: one array per name in ``COLUMNS``, one entry per
+    grid point.  Each of car (or nbar), mu_h and mu_s must appear exactly
+    once, either as an axis or as a fixed value; the source is fixed by car
+    when given, else by nbar.  The target photon number defaults to the
     click count.  Bad fixed source or detector parameters raise; a point
-    whose herald or report fails becomes an error-marked record.
+    whose herald or report fails becomes a row with NaN figures of merit and
+    the status ``error: <reason>``.
     """
     axes = list(axes)
     _validate_assignment(axes, car, nbar, mu_h, mu_s)
@@ -239,96 +169,68 @@ def run_sweep(
         dark_count_prob=dark_count_prob,
     )
 
-    records: list[SweepRecord] = []
+    rows = []
     for values in itertools.product(*(axis.grid() for axis in axes)):
         point = dict(zip(names, map(float, values)))
-        point_car = point.get("car", car)
+        car_value, nbar_value, source = _source_for(point.get("car", car), nbar)
         mu_h_value = float(point.get("mu_h", mu_h))
         mu_s_value = float(point.get("mu_s", mu_s))
         try:
-            record = evaluate_point(
-                point_car, nbar, mu_h_value, mu_s_value, clicks=clicks, target=target,
-                num_detectors=num_detectors, dark_count_prob=dark_count_prob, trunc=trunc,
+            detector = ClickDetectorArray(
+                efficiency=mu_h_value,
+                num_detectors=num_detectors,
+                dark_count_prob=dark_count_prob,
             )
+            config = HeraldConfig(source, detector, clicks, trunc)
+            rep = report(config, LossChannel(mu_s_value), target)
+            foms = [getattr(rep, attr) for attr in _FOM_COLUMNS.values()]
+            status = "ok"
         except (ValueError, ArithmeticError) as exc:
-            car_value, nbar_value, _ = _source_for(point_car, nbar)
-            record = SweepRecord(
-                car=car_value,
-                nbar=nbar_value,
-                mu_h=mu_h_value,
-                mu_s=mu_s_value,
-                clicks=clicks,
-                target=target,
-                report=None,
-                status=f"error: {exc}",
-            )
-        records.append(record)
-    return records
+            foms = [math.nan] * len(FOM_NAMES)
+            status = f"error: {exc}"
+        rows.append((car_value, nbar_value, mu_h_value, mu_s_value, clicks, target, *foms, status))
+    return {
+        name: np.array(column, dtype=_DTYPES.get(name, np.float64))
+        for name, column in zip(COLUMNS, zip(*rows))
+    }
 
 
 def threshold_region(
-    records: Sequence[SweepRecord], fom: str, comparator: str, level: float
-) -> RegionMask:
-    """Mask of grid points whose figure of merit satisfies the predicate."""
+    table: dict[str, np.ndarray], fom: str, comparator: str, level: float
+) -> np.ndarray:
+    """Boolean mask of the ``ok`` rows whose finite figure of merit meets the level."""
     if fom not in FOM_NAMES:
         raise ValueError(f"unknown figure of merit {fom!r}")
     if comparator not in _COMPARATORS:
         raise ValueError(f"unknown comparator {comparator!r}")
-    check = _COMPARATORS[comparator]
-    indices = []
-    for i, record in enumerate(records):
-        if not record.ok:
-            continue
-        value = fom_value(record, fom)
-        if math.isfinite(value) and check(value, level):
-            indices.append(i)
-    extents: dict[str, tuple[float, float]] = {}
-    if indices:
-        for name in SWEEP_PARAMETERS:
-            coords = [getattr(records[i], name) for i in indices]
-            extents[name] = (min(coords), max(coords))
-    return RegionMask(fom, comparator, level, tuple(indices), extents)
+    values = table[fom]
+    return (table["status"] == "ok") & np.isfinite(values) & _COMPARATORS[comparator](values, level)
 
 
 def find_optimum(
-    records: Sequence[SweepRecord],
+    table: dict[str, np.ndarray],
     fom: str,
     direction: str = "max",
     constraints: Sequence[tuple[str, str, float]] = (),
-) -> SweepRecord:
-    """Record extremizing the objective, subject to optional threshold constraints.
+) -> int:
+    """Row index extremizing the objective, subject to optional threshold constraints.
 
-    Ties are broken deterministically: lower car, then higher mu_h, then
-    higher mu_s.
+    Only ``ok`` rows with a finite objective compete.  Ties are broken
+    deterministically: lower car, then higher mu_h, then higher mu_s.
     """
-    if fom not in FOM_NAMES:
-        raise ValueError(f"unknown figure of merit {fom!r}")
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    checks = []
-    for cname, comparator, level in constraints:
-        if cname not in FOM_NAMES:
-            raise ValueError(f"unknown figure of merit {cname!r}")
-        if comparator not in _COMPARATORS:
-            raise ValueError(f"unknown comparator {comparator!r}")
-        checks.append((cname, _COMPARATORS[comparator], level))
-
-    sign = -1.0 if direction == "max" else 1.0
-    feasible = []
-    for record in records:
-        if not record.ok:
-            continue
-        value = fom_value(record, fom)
-        if not math.isfinite(value):
-            continue
-        if all(
-            math.isfinite(fom_value(record, cname)) and check(fom_value(record, cname), level)
-            for cname, check, level in checks
-        ):
-            feasible.append((sign * value, record.car, -record.mu_h, -record.mu_s, record))
-    if not feasible:
+    # every finite value meets ">= -inf", so this keeps the ok rows with a finite objective
+    feasible = threshold_region(table, fom, ">=", -math.inf)
+    for constraint in constraints:
+        feasible &= threshold_region(table, *constraint)
+    rows = np.flatnonzero(feasible)
+    if rows.size == 0:
         raise ValueError("no feasible grid point for the requested optimum")
-    return min(feasible, key=lambda item: item[:4])[4]
+    sign = -1.0 if direction == "max" else 1.0
+    # np.lexsort sorts by its last key first: objective, then car, -mu_h, -mu_s
+    keys = (-table["mu_s"], -table["mu_h"], table["car"], sign * table[fom])
+    return int(rows[np.lexsort([key[rows] for key in keys])[0]])
 
 
 def mean_vs_car_curve(

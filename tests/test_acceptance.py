@@ -25,7 +25,6 @@ from heraldstats import (
     dark_count_ratio,
     factorial_moment,
     find_optimum,
-    fom_value,
     g_factorial,
     herald,
     mean,
@@ -117,42 +116,42 @@ class TestTableOptima:
 
 class TestSingleWideLandscape:
     def test_criterion_5_single_photon_landscape(self, landscape_k1):
-        axes, records = landscape_k1
+        axes, table = landscape_k1
         car_grid = axes[0].grid()
 
         def car_index(value):
             return int(np.argmin(np.abs(np.log(car_grid) - math.log(value))))
 
-        fvals = np.array([fom_value(r, "fidelity") for r in records])
+        fvals = table["fidelity"]
         max_fidelity = np.nanmax(fvals)
         assert max_fidelity == pytest.approx(0.98, abs=0.01)
 
         # the top-fidelity plateau (values rounding to 0.98) sits in a narrow
         # CAR band; claimed bounds hold to within one grid cell
-        plateau = threshold_region(records, "fidelity", ">=", 0.975)
-        low_car, high_car = plateau.extents["car"]
+        plateau = threshold_region(table, "fidelity", ">=", 0.975)
+        low_car, high_car = table["car"][plateau].min(), table["car"][plateau].max()
         assert abs(car_index(low_car) - car_index(15.0)) <= 1
         assert abs(car_index(high_car) - car_index(38.0)) <= 1
 
-        region = threshold_region(records, "fidelity", ">=", 0.90)
-        lo, hi = region.extents["car"]
+        region = threshold_region(table, "fidelity", ">=", 0.90)
+        lo, hi = table["car"][region].min(), table["car"][region].max()
         assert 4.0 * 0.85 <= lo <= 4.0 * 1.15
         assert 230.0 * 0.85 <= hi <= 230.0 * 1.15
-        mu_floor = region.extents["mu_h"][0]
+        mu_floor = table["mu_h"][region].min()
         assert 0.25 <= mu_floor <= 0.35
 
-        svals = np.array([fom_value(r, "success_prob") for r in records])
+        svals = table["success_prob"]
         max_success = np.nanmax(svals)
         assert max_success == pytest.approx(0.29, abs=0.01)
 
         constrained = find_optimum(
-            records, "success_prob", "max", [("fidelity", ">=", 0.90)]
+            table, "success_prob", "max", [("fidelity", ">=", 0.90)]
         )
-        assert constrained.report.success_probability == pytest.approx(0.26, abs=0.01)
+        assert table["success_prob"][constrained] == pytest.approx(0.26, abs=0.01)
 
         announce(5, f"maxF={max_fidelity:.4f} plateau car=[{low_car:.1f},{high_car:.1f}] "
                     f"F>=0.9 car=[{lo:.1f},{hi:.1f}] mu_h>={mu_floor:.3f} "
-                    f"maxP={max_success:.4f} P|F>=0.9={constrained.report.success_probability:.4f}")
+                    f"maxP={max_success:.4f} P|F>=0.9={table['success_prob'][constrained]:.4f}")
 
     def test_criterion_6_fidelity_degradation_at_70_percent(self):
         claims = {1: (2.5, 0.68), 2: (3.0, 0.48), 3: (3.0, 0.34)}
@@ -162,8 +161,8 @@ class TestSingleWideLandscape:
                 SweepAxis("car", car_min, 500.0, 101, "logarithmic"),
                 SweepAxis("mu_h", 0.01, 1.0, 101),
             ]
-            records = run_sweep(axes, clicks=clicks, mu_s=0.7)
-            best = np.nanmax([fom_value(r, "fidelity") for r in records])
+            table = run_sweep(axes, clicks=clicks, mu_s=0.7)
+            best = np.nanmax(table["fidelity"])
             assert best == pytest.approx(claim, abs=0.02)
             observed[clicks] = best
         announce(6, " ".join(f"k={k}: maxF={v:.4f}" for k, v in observed.items()))
@@ -173,19 +172,19 @@ class TestSingleWideLandscape:
             SweepAxis("car", 3.0, 500.0, 101, "logarithmic"),
             SweepAxis("mu_h", 0.01, 1.0, 101),
         ]
-        records2 = run_sweep(axes2, clicks=2, mu_s=1.0)
-        best2 = find_optimum(records2, "success_prob", "max")
-        assert best2.report.success_probability == pytest.approx(0.14, abs=0.005)
+        table2 = run_sweep(axes2, clicks=2, mu_s=1.0)
+        best2 = find_optimum(table2, "success_prob", "max")
+        assert table2["success_prob"][best2] == pytest.approx(0.14, abs=0.005)
 
-        _, records3 = grid_k3
-        best3 = find_optimum(records3, "success_prob", "max")
-        assert best3.report.success_probability == pytest.approx(0.057, abs=0.005)
+        _, table3 = grid_k3
+        best3 = find_optimum(table3, "success_prob", "max")
+        assert table3["success_prob"][best3] == pytest.approx(0.057, abs=0.005)
 
         # both ceilings sit at the low-CAR, high-efficiency corner
-        assert best2.car == pytest.approx(3.0) and best2.mu_h == pytest.approx(1.0)
-        assert best3.car == pytest.approx(3.0) and best3.mu_h == pytest.approx(1.0)
-        announce(7, f"k=2 maxP={best2.report.success_probability:.4f} "
-                    f"k=3 maxP={best3.report.success_probability:.4f} (both at CAR=3, mu_h=1)")
+        assert table2["car"][best2] == pytest.approx(3.0) and table2["mu_h"][best2] == pytest.approx(1.0)
+        assert table3["car"][best3] == pytest.approx(3.0) and table3["mu_h"][best3] == pytest.approx(1.0)
+        announce(7, f"k=2 maxP={table2['success_prob'][best2]:.4f} "
+                    f"k=3 maxP={table3['success_prob'][best3]:.4f} (both at CAR=3, mu_h=1)")
 
 
 class TestPropertySuite:
@@ -311,9 +310,9 @@ class TestThreePhotonMoment:
     def test_criterion_9_g3_target_and_surface(self, grid_k3):
         assert g_factorial(PhotonStatistics.fock(3), 3) == 2 / 9
 
-        _, records = grid_k3
-        g3_values = np.array([fom_value(r, "g3") for r in records])
-        assert all(r.ok for r in records)
+        _, table = grid_k3
+        g3_values = table["g3"]
+        assert (table["status"] == "ok").all()
         assert np.isfinite(g3_values).all()
-        announce(9, f"Fock-3 g3 = 2/9 exactly; k=3 surface of {len(records)} points "
+        announce(9, f"Fock-3 g3 = 2/9 exactly; k=3 surface of {len(g3_values)} points "
                     f"finite (g3 range [{g3_values.min():.4f}, {g3_values.max():.4f}])")

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import heraldstats.cli
 from heraldstats import LossChannel, Truncation, report
 from heraldstats.cli import CSV_COLUMNS, main
 
@@ -76,6 +77,16 @@ class TestReportCommand:
         assert len(rows) == 1
         direct = report(config(15.0, 1, 1.0), LossChannel(1.0), 1)
         assert rows[0]["fidelity"] == float(f"{direct.fidelity:.12g}")
+
+    def test_format_without_out_rejected(self, capsys):
+        code = main([
+            "report", "--car", "15", "--clicks", "1", "--mu-h", "1", "--mu-s", "1",
+            "--format", "json",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: --format needs --out" in captured.err
+        assert captured.out == ""
 
     def test_truncation_flag_conflict(self, capsys):
         code = main([
@@ -188,8 +199,12 @@ class TestSweepCommand:
             ("axes", "min", "0.4", "axes[0].min must be a number"),
             ("axes", "scale", 3, "axes[0].scale must be a string"),
             ("truncation", "cap", 1.5, "truncation.cap must be an integer"),
+            ("source", "car", math.inf, "source.car must be a finite number"),
+            ("signal", "mu_s", math.nan, "signal.mu_s must be a finite number"),
+            ("detector", "nu", 10**400, "detector.nu must be a finite number"),
         ],
-        ids=["car-string", "steps-float", "steps-bool", "min-string", "scale-int", "cap-float"],
+        ids=["car-string", "steps-float", "steps-bool", "min-string", "scale-int", "cap-float",
+             "car-inf", "mu_s-nan", "nu-huge-int"],
     )
     def test_non_numeric_value_rejected(self, tmp_path, capsys, section, key, value, message):
         spec = basic_spec(truncation={})
@@ -203,7 +218,7 @@ class TestSweepCommand:
             {"parameter": "mu_h", "min": 0.4, "max": 0.6, "steps": 3},
         ])
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
-        assert "bad axis: axis min and max must be finite" in capsys.readouterr().err
+        assert "axes[0].max must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section,key", [("detector", "nu"), ("detector", "N"), ("herald", "k")]
@@ -253,9 +268,13 @@ class TestSweepCommand:
     )
     def test_truncation_flags_override_section(self, tmp_path, monkeypatch, flag, expected):
         used = {}
-        monkeypatch.setattr(
-            "heraldstats.cli.run_sweep", lambda axes, **kwargs: used.update(kwargs) or []
-        )
+        sweep = heraldstats.cli.run_sweep
+
+        def capture(axes, **kwargs):
+            used.update(kwargs)
+            return sweep(axes, **kwargs)
+
+        monkeypatch.setattr("heraldstats.cli.run_sweep", capture)
         path = write_spec(tmp_path, basic_spec(truncation={"n_max": 5}))
         assert main(["sweep", path] + flag) == 0
         assert used["trunc"] == expected
@@ -295,7 +314,6 @@ class TestSweepCommand:
             raise AssertionError("points were evaluated before the output path was checked")
 
         monkeypatch.setattr("heraldstats.cli.run_sweep", no_work)
-        monkeypatch.setattr("heraldstats.cli.evaluate_point", no_work)
         out = {"missing-directory": str(tmp_path / "missing" / "x.csv"),
                "directory": str(tmp_path), "empty": ""}[where]
         if command == "report":
@@ -399,6 +417,13 @@ class TestCalibrateCommand:
 
     def test_requires_argument(self):
         assert main(["calibrate"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--out", "cal.csv"], ["--format", "csv"]])
+    def test_no_structured_output_options(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(["calibrate", "--car", "3"] + flag) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "cal.csv").exists()
 
 
 GOLDEN_SPEC = {

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from heraldstats import (
-    FigureOfMeritReport,
+    COLUMNS,
+    FOM_NAMES,
     LossChannel,
     SweepAxis,
-    SweepRecord,
     find_optimum,
-    fom_value,
     mean,
     mean_vs_car_curve,
     nbar_from_car,
@@ -20,6 +19,18 @@ from heraldstats import (
 )
 
 from conftest import config
+
+#: FigureOfMeritReport attribute of each figure-of-merit column, in export order.
+REPORT_FIELDS = ("fidelity", "g2", "g3", "success_probability", "parity", "mean_lossy",
+                 "mean_loss_corrected")
+
+
+def row_foms(table, i):
+    return tuple(table[name][i] for name in FOM_NAMES)
+
+
+def report_foms(rep):
+    return tuple(getattr(rep, field) for field in REPORT_FIELDS)
 
 
 def small_grid(clicks=1, mu_s=1.0, car_steps=40, mu_steps=20):
@@ -60,26 +71,30 @@ class TestSweepAxis:
 
 class TestRunSweep:
     def test_degenerate_sweep_reproduces_report(self):
-        records = run_sweep([], clicks=1, car=15.0, mu_h=1.0, mu_s=1.0)
-        assert len(records) == 1
+        table = run_sweep([], clicks=1, car=15.0, mu_h=1.0, mu_s=1.0)
+        assert list(table) == COLUMNS
+        assert all(len(column) == 1 for column in table.values())
         direct = report(config(15.0, 1, 1.0), LossChannel(1.0), 1)
-        assert records[0].report == direct
-        assert records[0].status == "ok"
+        assert row_foms(table, 0) == report_foms(direct)
+        assert table["status"][0] == "ok"
+        for name, column in table.items():
+            expected = {"k": np.int64, "target": np.int64, "status": object}.get(name, np.float64)
+            assert column.dtype == expected, name
 
     def test_one_point_axis_reproduces_report(self):
         axis = SweepAxis("car", 15.0, 15.0, 1, "logarithmic")
-        records = run_sweep([axis], clicks=1, mu_h=1.0, mu_s=1.0)
+        table = run_sweep([axis], clicks=1, mu_h=1.0, mu_s=1.0)
         direct = report(config(15.0, 1, 1.0), LossChannel(1.0), 1)
-        assert records[0].report == direct
+        assert row_foms(table, 0) == report_foms(direct)
 
     def test_row_major_order(self):
         axes = [
             SweepAxis("car", 3.0, 30.0, 3, "logarithmic"),
             SweepAxis("mu_h", 0.2, 0.8, 2),
         ]
-        records = run_sweep(axes, clicks=1, mu_s=1.0)
-        cars = [r.car for r in records]
-        mus = [r.mu_h for r in records]
+        table = run_sweep(axes, clicks=1, mu_s=1.0)
+        cars = table["car"].tolist()
+        mus = table["mu_h"].tolist()
         grid_car = axes[0].grid()
         assert cars == pytest.approx(
             [grid_car[0], grid_car[0], grid_car[1], grid_car[1], grid_car[2], grid_car[2]]
@@ -89,7 +104,9 @@ class TestRunSweep:
     def test_deterministic(self):
         _, first = small_grid(car_steps=10, mu_steps=5)
         _, second = small_grid(car_steps=10, mu_steps=5)
-        assert first == second  # bit-identical records
+        assert list(first) == list(second)
+        for name in COLUMNS:  # bit-identical columns
+            np.testing.assert_array_equal(first[name], second[name])
 
     def test_parameter_exactly_once(self):
         axis = SweepAxis("car", 3.0, 10.0, 3, "logarithmic")
@@ -106,12 +123,14 @@ class TestRunSweep:
 
     def test_impossible_points_marked_not_dropped(self):
         axes = [SweepAxis("mu_h", 0.0, 1.0, 3)]
-        records = run_sweep(
+        table = run_sweep(
             axes, clicks=1, car=10.0, mu_s=1.0, dark_count_prob=0.0
         )
-        assert len(records) == 3
-        assert not records[0].ok and "zero probability" in records[0].status
-        assert records[1].ok and records[2].ok
+        status = table["status"]
+        assert len(status) == 3
+        assert status[0].startswith("error: ") and "zero probability" in status[0]
+        assert np.isnan(row_foms(table, 0)).all()
+        assert status[1] == "ok" and status[2] == "ok"
 
     def test_bad_source_or_detector_aborts_sweep(self):
         axes = [SweepAxis("mu_h", 0.2, 0.8, 2)]
@@ -128,101 +147,127 @@ class TestRunSweep:
         axes = [SweepAxis("mu_h", 0.2, 0.8, 2)]
         too_many_clicks = run_sweep(axes, clicks=5, car=10.0, mu_s=1.0)
         bad_signal = run_sweep(axes, clicks=1, car=10.0, mu_s=1.5)
-        for records in (too_many_clicks, bad_signal):
-            assert len(records) == 2
-            assert all(r.status.startswith("error: ") for r in records)
-            assert [r.mu_h for r in records] == [0.2, 0.8]
-            assert all(r.car == 10.0 and r.nbar == 0.125 for r in records)
+        for table in (too_many_clicks, bad_signal):
+            assert len(table["status"]) == 2
+            assert all(status.startswith("error: ") for status in table["status"])
+            assert table["mu_h"].tolist() == [0.2, 0.8]
+            assert table["car"].tolist() == [10.0, 10.0]
+            assert table["nbar"].tolist() == [0.125, 0.125]
 
     def test_nbar_fixed_point(self):
-        records = run_sweep([], clicks=1, nbar=1.0, mu_h=1.0, mu_s=1.0)
-        assert records[0].car == pytest.approx(3.0)
-        records = run_sweep([], clicks=0, nbar=0.0, mu_h=1.0, mu_s=1.0, target=0)
-        assert math.isnan(records[0].car)
-        assert records[0].ok
+        table = run_sweep([], clicks=1, nbar=1.0, mu_h=1.0, mu_s=1.0)
+        assert table["car"][0] == pytest.approx(3.0)
+        table = run_sweep([], clicks=0, nbar=0.0, mu_h=1.0, mu_s=1.0, target=0)
+        assert math.isnan(table["car"][0])
+        assert table["status"][0] == "ok"
 
     def test_target_defaults_to_clicks(self):
-        records = run_sweep([], clicks=2, car=23.0, mu_h=1.0, mu_s=1.0)
-        assert records[0].target == 2
+        table = run_sweep([], clicks=2, car=23.0, mu_h=1.0, mu_s=1.0)
+        assert table["target"][0] == 2
 
     def test_large_array_points_are_ok(self):
         # 8 of 16 clicks: the click weights must stay inside [0, 1] at every mu_h
         axes = [SweepAxis("mu_h", 0.1, 1.0, 10)]
-        records = run_sweep(axes, clicks=8, num_detectors=16, car=15.0, mu_s=0.7)
-        assert [r.status for r in records] == ["ok"] * 10
-        assert all(0.0 <= fom_value(r, "fidelity") <= 1.0 for r in records)
+        table = run_sweep(axes, clicks=8, num_detectors=16, car=15.0, mu_s=0.7)
+        assert table["status"].tolist() == ["ok"] * 10
+        assert ((0.0 <= table["fidelity"]) & (table["fidelity"] <= 1.0)).all()
+
+
+def fake_table(points, fom="g2"):
+    """A hand-built sweep table: one (car, mu_h, mu_s, value[, status]) row per point.
+
+    ``value`` goes in the ``fom`` column; every other figure of merit is 0.5.
+    """
+    car, mu_h, mu_s, value, status = zip(*((*point, "ok")[:5] for point in points))
+    table = {name: np.full(len(car), 0.5) for name in FOM_NAMES}
+    table.update(
+        car=np.array(car), nbar=1 / (np.array(car) - 2), mu_h=np.array(mu_h),
+        mu_s=np.array(mu_s), k=np.ones(len(car), dtype=np.int64),
+        target=np.ones(len(car), dtype=np.int64), status=np.array(status, dtype=object),
+    )
+    table[fom] = np.array(value)
+    return table
 
 
 class TestThresholdRegion:
     def test_level_above_one_empty(self):
-        _, records = small_grid(car_steps=10, mu_steps=5)
-        mask = threshold_region(records, "fidelity", ">=", 1.01)
-        assert len(mask) == 0 and mask.extents == {}
+        _, table = small_grid(car_steps=10, mu_steps=5)
+        mask = threshold_region(table, "fidelity", ">=", 1.01)
+        assert mask.dtype == bool and mask.shape == table["car"].shape
+        assert not mask.any()
 
     def test_extents_cover_mask(self):
-        _, records = small_grid(car_steps=20, mu_steps=10)
-        mask = threshold_region(records, "fidelity", ">=", 0.9)
-        assert len(mask) > 0
-        lo, hi = mask.extents["car"]
-        for i in mask.indices:
-            assert lo <= records[i].car <= hi
+        _, table = small_grid(car_steps=20, mu_steps=10)
+        mask = threshold_region(table, "fidelity", ">=", 0.9)
+        assert mask.any()
+        lo, hi = table["car"][mask].min(), table["car"][mask].max()
+        for i in np.flatnonzero(mask):
+            assert lo <= table["car"][i] <= hi
+            assert table["fidelity"][i] >= 0.9
 
     def test_g2_region_contains_high_fidelity_region(self):
-        _, records = small_grid(car_steps=30, mu_steps=15)
-        f_mask = set(threshold_region(records, "fidelity", ">=", 0.9).indices)
-        g_mask = set(threshold_region(records, "g2", "<=", 0.5).indices)
-        assert f_mask and f_mask <= g_mask
-        f_hi = max(records[i].car for i in f_mask)
-        g_hi = max(records[i].car for i in g_mask)
+        _, table = small_grid(car_steps=30, mu_steps=15)
+        f_mask = threshold_region(table, "fidelity", ">=", 0.9)
+        g_mask = threshold_region(table, "g2", "<=", 0.5)
+        assert f_mask.any() and not (f_mask & ~g_mask).any()
+        f_hi = table["car"][f_mask].max()
+        g_hi = table["car"][g_mask].max()
         assert g_hi > f_hi  # extends strictly past the high-car side
 
     def test_unknown_fom(self):
-        _, records = small_grid(car_steps=4, mu_steps=2)
+        _, table = small_grid(car_steps=4, mu_steps=2)
         with pytest.raises(ValueError):
-            threshold_region(records, "sparkle", ">=", 0.5)
-
-
-def fake_record(car, mu_h, mu_s, value):
-    rep = FigureOfMeritReport(
-        fidelity=value, g2=0.1, g3=0.1, success_probability=0.5,
-        parity=0.0, mean_lossy=1.0, mean_loss_corrected=1.0,
-    )
-    return SweepRecord(car, 1 / (car - 2), mu_h, mu_s, 1, 1, rep)
+            threshold_region(table, "sparkle", ">=", 0.5)
 
 
 class TestFindOptimum:
     def test_tie_break_lower_car_then_higher_efficiencies(self):
-        records = [
-            fake_record(20.0, 1.0, 1.0, 0.9),
-            fake_record(10.0, 0.5, 1.0, 0.9),
-            fake_record(10.0, 0.8, 0.3, 0.9),
-            fake_record(10.0, 0.8, 0.7, 0.9),
-        ]
-        best = find_optimum(records, "fidelity", "max")
-        assert (best.car, best.mu_h, best.mu_s) == (10.0, 0.8, 0.7)
+        table = fake_table([
+            (20.0, 1.0, 1.0, 0.9),
+            (10.0, 0.5, 1.0, 0.9),
+            (10.0, 0.8, 0.3, 0.9),
+            (10.0, 0.8, 0.7, 0.9),
+        ], fom="fidelity")
+        best = find_optimum(table, "fidelity", "max")
+        assert best == 3
+        assert (table["car"][best], table["mu_h"][best], table["mu_s"][best]) == (10.0, 0.8, 0.7)
 
     def test_direction_min(self):
-        records = [fake_record(10.0, 1.0, 1.0, 0.3), fake_record(20.0, 1.0, 1.0, 0.1)]
-        assert find_optimum(records, "fidelity", "min").car == 20.0
+        table = fake_table([(10.0, 1.0, 1.0, 0.3), (20.0, 1.0, 1.0, 0.1)], fom="fidelity")
+        assert table["car"][find_optimum(table, "fidelity", "min")] == 20.0
+
+    def test_nan_objective_never_chosen_nor_masked(self):
+        # the vacuum herald has g2 = NaN, yet its row is ok
+        table = fake_table([(3.0, 1.0, 1.0, math.nan), (10.0, 1.0, 1.0, 0.5),
+                            (20.0, 1.0, 1.0, 0.2), (30.0, 1.0, 1.0, 0.0, "error: boom")])
+        for comparator, level in ((">=", 0.0), ("<=", 1.0)):
+            mask = threshold_region(table, "g2", comparator, level)
+            assert mask.tolist() == [False, True, True, False]
+        assert find_optimum(table, "g2", "min") == 2
+        assert find_optimum(table, "g2", "max") == 1
+        assert find_optimum(table, "fidelity", "max", [("g2", "<=", 1.0)]) == 1
+        only_nan = fake_table([(3.0, 1.0, 1.0, math.nan)])
+        with pytest.raises(ValueError, match="no feasible"):
+            find_optimum(only_nan, "g2", "min")
 
     def test_constraint_filters(self):
-        _, records = small_grid(car_steps=30, mu_steps=15)
+        _, table = small_grid(car_steps=30, mu_steps=15)
         constrained = find_optimum(
-            records, "success_prob", "max", [("fidelity", ">=", 0.9)]
+            table, "success_prob", "max", [("fidelity", ">=", 0.9)]
         )
-        unconstrained = find_optimum(records, "success_prob", "max")
-        assert fom_value(constrained, "fidelity") >= 0.9
+        unconstrained = find_optimum(table, "success_prob", "max")
+        assert table["fidelity"][constrained] >= 0.9
         assert (
-            constrained.report.success_probability
-            <= unconstrained.report.success_probability
+            table["success_prob"][constrained]
+            <= table["success_prob"][unconstrained]
         )
 
     def test_empty_feasible_set(self):
-        _, records = small_grid(car_steps=4, mu_steps=2)
+        _, table = small_grid(car_steps=4, mu_steps=2)
         with pytest.raises(ValueError):
-            find_optimum(records, "fidelity", "max", [("fidelity", ">=", 1.01)])
+            find_optimum(table, "fidelity", "max", [("fidelity", ">=", 1.01)])
         with pytest.raises(ValueError, match="comparator"):
-            find_optimum(records, "fidelity", "max", [("fidelity", "==", 0.5)])
+            find_optimum(table, "fidelity", "max", [("fidelity", "==", 0.5)])
 
     @pytest.mark.parametrize(
         "clicks,comparator,level,low,high",
@@ -232,19 +277,19 @@ class TestFindOptimum:
         self, clicks, comparator, level, low, high
     ):
         axes = [SweepAxis("car", 3.0, 500.0, 200, "logarithmic")]
-        records = run_sweep(axes, clicks=clicks, mu_h=1.0, mu_s=1.0)
+        table = run_sweep(axes, clicks=clicks, mu_h=1.0, mu_s=1.0)
         best = find_optimum(
-            records, "success_prob", "max", [("parity", comparator, level)]
+            table, "success_prob", "max", [("parity", comparator, level)]
         )
-        assert low <= best.car <= high
+        assert low <= table["car"][best] <= high
 
 
 class TestMonotoneAndStability:
     @pytest.mark.parametrize("car", [10.0, 30.0])
     def test_fidelity_non_decreasing_in_mu_h(self, car):
         axes = [SweepAxis("mu_h", 0.05, 1.0, 25)]
-        records = run_sweep(axes, clicks=1, car=car, mu_s=1.0)
-        values = [fom_value(r, "fidelity") for r in records]
+        table = run_sweep(axes, clicks=1, car=car, mu_s=1.0)
+        values = table["fidelity"].tolist()
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_grid_refinement_moves_optimum_less_than_one_coarse_cell(self):
@@ -254,8 +299,8 @@ class TestMonotoneAndStability:
         fine = run_sweep([fine_axis], clicks=1, mu_h=1.0, mu_s=1.0)
         cell = coarse_axis.grid()[1] / coarse_axis.grid()[0]
         for fom, direction in [("fidelity", "max"), ("parity", "min")]:
-            car_coarse = find_optimum(coarse, fom, direction).car
-            car_fine = find_optimum(fine, fom, direction).car
+            car_coarse = coarse["car"][find_optimum(coarse, fom, direction)]
+            car_fine = fine["car"][find_optimum(fine, fom, direction)]
             assert abs(math.log(car_fine / car_coarse)) < math.log(cell)
 
 
