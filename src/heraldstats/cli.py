@@ -166,6 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_report(args) -> int:
     if args.format is not None and args.out is None:
         raise SpecError("--format needs --out")
+    if args.target is not None and args.target < 0:
+        raise SpecError("--target must be >= 0")
     trunc = _truncation(args.truncation, args.tail_eps, None)
     _check_destination(args.out)
     table = run_sweep(
@@ -270,6 +272,8 @@ def cmd_sweep(args) -> int:
     axes = [_parse_axis(obj, f"axes[{i}]") for i, obj in enumerate(spec.get("axes", []))]
     if "car" in source and "nbar" in source:
         raise SpecError("source must give exactly one of car or nbar")
+    if target_section.get("m", 0) < 0:
+        raise SpecError("target.m must be >= 0")
     fmt = args.format or outputs.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise SpecError(f"unknown output format {fmt!r}")

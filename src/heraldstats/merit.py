@@ -21,6 +21,7 @@ from .fock import (
     PhotonStatistics,
     Truncation,
     TwinBeamSource,
+    _index_array,
     factorial_moment,
     mean,
     thermal_distribution,
@@ -78,7 +79,9 @@ class FigureOfMeritReport:
 
 
 def _check_target(target: int, n_max: int) -> None:
-    if not 0 <= target <= n_max:
+    if target < 0:
+        raise ValueError(f"target photon number must be >= 0, got {target}")
+    if target > n_max:
         raise ValueError(
             f"target photon number {target} exceeds the cutoff n_max = {n_max}"
         )
@@ -222,8 +225,13 @@ def report(
     _check_target(target, lossless.n_max)
     lossless_mean = mean(lossless)
     if lossless_mean > 0.0:
-        g2 = g_factorial(lossless, 2)
-        g3 = g_factorial(lossless, 3)
+        # one falling product for both moments, in g_factorial's operation order
+        n = _index_array(probs.size)
+        falling = probs * n
+        falling *= n - 1
+        g2 = float(falling.sum()) / lossless_mean**2
+        falling *= n - 2
+        g3 = float(falling.sum()) / lossless_mean**3
     else:
         g2 = math.nan
         g3 = math.nan

@@ -88,6 +88,16 @@ class TestReportCommand:
         assert "error: --format needs --out" in captured.err
         assert captured.out == ""
 
+    def test_negative_target_usage_error(self, capsys):
+        code = main([
+            "report", "--car", "15", "--clicks", "1", "--mu-h", "1", "--mu-s", "1",
+            "--target", "-1",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: --target must be >= 0" in captured.err
+        assert captured.out == ""
+
     def test_truncation_flag_conflict(self, capsys):
         code = main([
             "report", "--car", "15", "--clicks", "1", "--mu-h", "1", "--mu-s", "1",
@@ -228,6 +238,13 @@ class TestSweepCommand:
         spec[section][key] = None
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
         assert f"{section}.{key} must be" in capsys.readouterr().err
+
+    def test_negative_target_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        spec = basic_spec(target={"m": -1}, outputs={"path": str(out)})
+        assert main(["sweep", write_spec(tmp_path, spec)]) == 2
+        assert "error: target.m must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_integer_clicks_rejected(self, tmp_path):
         spec = basic_spec(herald={"k": 1.5})

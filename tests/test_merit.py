@@ -285,6 +285,20 @@ class TestLossyFunctionals:
         with pytest.raises(ValueError, match=r"^target photon number 4 exceeds the cutoff n_max = 3$"):
             report(cfg, LossChannel(mu_s), 4)
 
+    def test_negative_target_rejected(self):
+        cfg = config(15.0, 1, 0.8)
+        with pytest.raises(ValueError, match=r"^target photon number must be >= 0, got -1$"):
+            report(cfg, LossChannel(0.7), -1)
+
+    @pytest.mark.parametrize("car,clicks", [(15.0, 0), (15.0, 1), (15.0, 2), (15.0, 3), (2.01, 1)])
+    def test_g2_g3_equal_g_factorial(self, car, clicks):
+        cfg = config(car, clicks, 0.8)
+        lossless = herald(cfg).statistics
+        for mu_s in (0.0, 0.3, 0.5, 0.7, 1.0):
+            rep = report(cfg, LossChannel(mu_s), clicks)
+            assert rep.g2 == g_factorial(lossless, 2)
+            assert rep.g3 == g_factorial(lossless, 3)
+
     def test_weights_are_cached_and_read_only(self):
         weights = _lossy_weights(0.7, 1, 50)
         assert weights.shape == (2, 51)
@@ -317,6 +331,29 @@ class TestLossyFunctionals:
                             assert abs(row[n]) <= 1e-249
                         ref_parity = (1 - 2 * exact_mu) ** n
                         assert abs(mp.mpf(parity_weights[n]) - ref_parity) <= 1e-12 * abs(ref_parity) + 1e-300
+
+    @pytest.mark.parametrize("n_max,target", [(8192, 4096), (10000, 3000)])
+    def test_loss_row_matches_mpmath_beyond_cap(self, n_max, target):
+        # Fixed cutoffs past the 4096 cap: C(n, m) and (1 - mu)^(n - m) each
+        # leave the float range here while their product does not.
+        mp = pytest.importorskip("mpmath").mp
+        n_grid = sorted(set(np.unique(np.geomspace(1, n_max, 60).astype(int))) | {0, n_max})
+        with mp.workdps(40):
+            for mu in (0.3, 0.5):
+                row = _lossy_weights(mu, target, n_max)[0]
+                assert np.isfinite(row).all()
+                exact_mu = mp.mpf(mu)
+                for n in n_grid + [round(min(n_max, target / mu))]:
+                    ref = (
+                        mp.binomial(n, target) * exact_mu**target * (1 - exact_mu) ** (n - target)
+                        if n >= target
+                        else mp.mpf(0)
+                    )
+                    if ref > mp.mpf("1e-250"):
+                        tol = 1e-12 if ref > mp.mpf("1e-20") else 1e-11
+                        assert abs(mp.mpf(row[n]) / ref - 1) <= tol, (mu, n)
+                    else:
+                        assert abs(row[n]) <= 1e-249, (mu, n)
 
 
 class TestLossyProperties:
