@@ -21,7 +21,6 @@ from .fock import (
     PhotonStatistics,
     Truncation,
     TwinBeamSource,
-    _index_array,
     factorial_moment,
     mean,
     thermal_distribution,
@@ -225,13 +224,8 @@ def report(
     _check_target(target, lossless.n_max)
     lossless_mean = mean(lossless)
     if lossless_mean > 0.0:
-        # one falling product for both moments, in g_factorial's operation order
-        n = _index_array(probs.size)
-        falling = probs * n
-        falling *= n - 1
-        g2 = float(falling.sum()) / lossless_mean**2
-        falling *= n - 2
-        g3 = float(falling.sum()) / lossless_mean**3
+        g2 = g_factorial(lossless, 2)
+        g3 = g_factorial(lossless, 3)
     else:
         g2 = math.nan
         g3 = math.nan
