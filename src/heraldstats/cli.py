@@ -110,6 +110,14 @@ def _truncation(n_max: int | None, tail_epsilon: float | None, cap: int | None) 
         raise SpecError(f"bad truncation: {exc}") from exc
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float flag must be finite, as spec numbers must."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="structured output format (default csv)")
@@ -133,16 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="figures of merit for one parameter point")
     group = rep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--car", type=float, help="coincidences-to-accidentals ratio (> 2)")
-    group.add_argument("--nbar", type=float, help="twin-beam mean photon number (>= 0)")
+    group.add_argument("--car", type=_finite_float, help="coincidences-to-accidentals ratio (> 2)")
+    group.add_argument("--nbar", type=_finite_float, help="twin-beam mean photon number (>= 0)")
     rep.add_argument("--clicks", type=int, required=True, help="heralding click count k")
-    rep.add_argument("--mu-h", type=float, required=True, help="heralding efficiency")
-    rep.add_argument("--mu-s", type=float, required=True, help="signal-arm efficiency")
+    rep.add_argument("--mu-h", type=_finite_float, required=True, help="heralding efficiency")
+    rep.add_argument("--mu-s", type=_finite_float, required=True, help="signal-arm efficiency")
     rep.add_argument("--target", type=int, default=None,
                      help="target photon number m (default: k)")
     rep.add_argument("--detectors", type=int, default=DEFAULT_NUM_DETECTORS,
                      help="number of click detectors N")
-    rep.add_argument("--nu", type=float, default=DEFAULT_DARK_COUNT,
+    rep.add_argument("--nu", type=_finite_float, default=DEFAULT_DARK_COUNT,
                      help="dark-count parameter of the array")
     _output_options(rep)
     _truncation_options(rep)
@@ -156,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser("calibrate", help="CAR/nbar conversion table")
     group = cal.add_mutually_exclusive_group(required=True)
-    group.add_argument("--car", type=float)
-    group.add_argument("--nbar", type=float)
+    group.add_argument("--car", type=_finite_float)
+    group.add_argument("--nbar", type=_finite_float)
     _truncation_options(cal)
     cal.set_defaults(func=cmd_calibrate)
     return parser

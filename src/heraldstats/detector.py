@@ -10,16 +10,23 @@ hits a new one; hit_j(n) is the probability that n photons hit j detectors.
 Detectors left unhit click on a dark count with d = 1 - exp(-nu/N):
 
     w_n(k) = sum_{j<=k} hit_j(n) C(N-j, k-j) d^(k-j) (1-d)^(N-k) .
+
+The recurrence runs forward in n and the sum over j is taken entry by
+entry, so w_n(k) for n <= n_max comes out bit for bit the same whatever
+n_max it is computed at.  The validated weights are therefore cached by
+(detector, clicks) alone: each outcome keeps the longest vector computed so
+far, and a smaller cutoff gets an exact read-only prefix of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
+
+from .fock import _prefix_cache
 
 __all__ = [
     "ClickDetectorArray",
@@ -84,12 +91,18 @@ def _click_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.
             np.multiply(hits[:-1, j - 1], mu * (n_det - j + 1) / n_det, out=hits[1:, j])
         band[1] = -(1.0 - mu + mu * j / n_det)
         dtbtrs(band, hits[:, j : j + 1], "L", "N", "U", 1)
-    return hits @ fill
+    # Weight and sum the columns entry by entry, not by a matrix-vector product,
+    # whose rounding can depend on the vector's length.
+    hits *= fill
+    weights = hits[:, 0]
+    for j in range(1, clicks + 1):
+        weights = weights + hits[:, j]
+    return weights
 
 
-@lru_cache(maxsize=16384)
+@_prefix_cache(maxsize=16384)
 def _clipped_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
-    """Validated, read-only weights of one click outcome, cached per (detector, clicks, n_max)."""
+    """Validated, read-only weights of one click outcome, cached per (detector, clicks)."""
     weights = _click_weights(detector, clicks, n_max)
     low = float(weights.min())
     high = float(weights.max())

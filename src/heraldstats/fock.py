@@ -15,8 +15,9 @@ rely on an exact sum of one.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -264,17 +265,74 @@ def mean(stats: PhotonStatistics) -> float:
     return float(np.dot(_index_array(probs.size), probs))
 
 
-def factorial_moment(stats: PhotonStatistics, order: int) -> float:
-    """Unnormalized factorial moment sum(n(n-1)...(n-order+1) * p_n).
+def _factorial_moments(probs: np.ndarray, lowest: int, highest: int) -> list[float]:
+    """Factorial moments of orders lowest..highest from one running falling product.
 
     Accumulated multiplicatively, never through explicit factorials, so the
     intermediate products stay within float range for any sane cutoff.
     """
-    if order < 1:
-        raise ValueError("factorial moment order must be >= 1")
-    probs = stats.probabilities
     n = _index_array(probs.size)
     acc = probs.copy()
-    for j in range(order):
+    moments = []
+    for j in range(highest):
         acc *= n - j
-    return float(acc.sum())
+        if j + 1 >= lowest:
+            moments.append(float(acc.sum()))
+    return moments
+
+
+def factorial_moment(stats: PhotonStatistics, order: int) -> float:
+    """Unnormalized factorial moment sum(n(n-1)...(n-order+1) * p_n)."""
+    if order < 1:
+        raise ValueError("factorial moment order must be >= 1")
+    (moment,) = _factorial_moments(stats.probabilities, order, order)
+    return moment
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _prefix_cache(maxsize: int):
+    """Cache ``compute(*key, n_max)`` by ``key`` alone.
+
+    For functions whose result runs over n = 0..n_max along its last axis
+    and whose entries do not depend on n_max, so that the result at a
+    smaller cutoff is exactly a prefix of the result at a larger one.  Each
+    key keeps the longest read-only result computed so far: a request it
+    covers gets that result, or a read-only prefix view of it, and computes
+    nothing (a hit); any other request computes at exactly its own cutoff
+    and replaces it (a miss).  Every stored result is exact at its own
+    cutoff, so concurrent callers always get exact results; a race can at
+    worst make one compute again.  Keys are evicted least recently used, as
+    by ``functools.lru_cache``, whose ``cache_info``/``cache_clear``
+    interface the wrapper keeps.
+    """
+
+    def decorate(compute):
+        slots = lru_cache(maxsize)(lambda *key: [None])
+        counts = [0, 0]  # hits, misses
+
+        @wraps(compute)
+        def cached(*args):
+            slot = slots(*args[:-1])
+            stored = slot[0]
+            size = args[-1] + 1
+            if stored is None or stored.shape[-1] < size:
+                counts[1] += 1
+                slot[0] = stored = compute(*args)
+                return stored
+            counts[0] += 1
+            return stored if stored.shape[-1] == size else stored[..., :size]
+
+        def cache_info():
+            return _CacheInfo(*counts, maxsize, slots.cache_info().currsize)
+
+        def cache_clear():
+            slots.cache_clear()
+            counts[:] = [0, 0]
+
+        cached.cache_info = cache_info
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate

@@ -17,7 +17,10 @@ since each photon independently flips the parity when it survives
 both O(n_max) weight vectors.  It builds the row in numpy, without scipy,
 as (1-mu)^(n-m) times a product of m positive factors (n-m+i)/i * mu per
 entry, carried as mantissa times a power of two so that no cutoff can
-overflow or underflow it on the way.
+overflow or underflow it on the way.  Every step of both vectors acts on
+each entry alone, so entry n is bit for bit the same at any cutoff >= n:
+the cache is keyed by (mu, m) alone, keeps the longest pair computed so far
+and gives a smaller cutoff an exact read-only prefix of it.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.stats import binom
 
-from .fock import PhotonStatistics
+from .fock import PhotonStatistics, _prefix_cache
 
 __all__ = [
     "LossChannel",
@@ -147,9 +149,11 @@ def _loss_row(efficiency: float, target: int, n_max: int) -> np.ndarray:
     return row
 
 
-@lru_cache(maxsize=256)
+@_prefix_cache(maxsize=256)
 def _lossy_weights(efficiency: float, target: int, n_max: int) -> np.ndarray:
     """Read-only (2, n_max + 1) array: row ``target`` of L, and (1 - 2 mu)^n.
+
+    Cached per (efficiency, target); a smaller cutoff gets a prefix view.
 
     Dotted with a lossless distribution they give the lossy overlap with
     |target> and the lossy parity.  The row is the product form of

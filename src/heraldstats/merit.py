@@ -21,6 +21,7 @@ from .fock import (
     PhotonStatistics,
     Truncation,
     TwinBeamSource,
+    _factorial_moments,
     factorial_moment,
     mean,
     thermal_distribution,
@@ -224,8 +225,10 @@ def report(
     _check_target(target, lossless.n_max)
     lossless_mean = mean(lossless)
     if lossless_mean > 0.0:
-        g2 = g_factorial(lossless, 2)
-        g3 = g_factorial(lossless, 3)
+        # the operations of g_factorial, with one falling product for both orders
+        f2, f3 = _factorial_moments(probs, 2, 3)
+        g2 = f2 / lossless_mean**2
+        g3 = f3 / lossless_mean**3
     else:
         g2 = math.nan
         g3 = math.nan

@@ -115,6 +115,15 @@ class TestReportCommand:
         assert values["status"] == "ok"
         assert 0.0 <= float(values["fidelity"]) <= 1.0
 
+    @pytest.mark.parametrize("flag,value", [("--car", "inf"), ("--mu-s", "nan")])
+    def test_non_finite_flag_usage_error(self, capsys, flag, value):
+        argv = ["report", "--car", "15", "--clicks", "1", "--mu-h", "1", "--mu-s", "1"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be a finite number, got '{value}'" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["report", "sweep"])
     @pytest.mark.parametrize("flag", [["--truncation", "-1"], ["--tail-eps", "2"]])
     def test_bad_truncation_flag_usage_error(self, tmp_path, capsys, command, flag):
@@ -434,6 +443,12 @@ class TestCalibrateCommand:
 
     def test_requires_argument(self):
         assert main(["calibrate"]) == 2
+
+    def test_infinite_car_usage_error(self, capsys):
+        assert main(["calibrate", "--car", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert "argument --car: must be a finite number, got 'inf'" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", [["--out", "cal.csv"], ["--format", "csv"]])
     def test_no_structured_output_options(self, tmp_path, monkeypatch, capsys, flag):

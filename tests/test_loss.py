@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from heraldstats import (
     mean,
     thermal_distribution,
 )
+from heraldstats.loss import _loss_row, _lossy_weights
 
 
 def thermal(nbar, n_max=None):
@@ -124,3 +128,65 @@ class TestInvertLoss:
         with pytest.warns(UserWarning, match="negativity"):
             recovered = invert_loss(LossChannel(0.5), PhotonStatistics(bumped))
         assert recovered.probabilities.min() >= 0.0
+
+
+class TestLossyWeightsCache:
+    """Loss rows and parity weights are cached per (mu, m): a smaller cutoff gets an exact prefix."""
+
+    @staticmethod
+    def cases(seed, count=200):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            mu = 1.0 if rng.uniform() < 0.1 else float(rng.uniform())
+            target = int(rng.integers(0, 5))
+            short, long = sorted(int(cutoff) for cutoff in rng.integers(0, 4001, size=2))
+            yield mu, target, short, long
+
+    @staticmethod
+    def fresh(mu, target, n_max):
+        return np.stack([_loss_row(mu, target, n_max), (1.0 - 2.0 * mu) ** np.arange(n_max + 1)])
+
+    def test_short_after_long_is_an_exact_prefix(self):
+        _lossy_weights.cache_clear()
+        for mu, target, short, long in self.cases(1):
+            _lossy_weights(mu, target, long)
+            misses = _lossy_weights.cache_info().misses
+            weights = _lossy_weights(mu, target, short)
+            assert _lossy_weights.cache_info().misses == misses
+            assert not weights.flags.writeable
+            assert np.array_equal(weights, self.fresh(mu, target, short)), (mu, target, short)
+
+    def test_long_after_short_is_computed_whole(self):
+        _lossy_weights.cache_clear()
+        for mu, target, short, long in self.cases(2):
+            _lossy_weights(mu, target, short)
+            weights = _lossy_weights(mu, target, long)
+            assert weights.shape == (2, long + 1)
+            assert not weights.flags.writeable
+            assert np.array_equal(weights, self.fresh(mu, target, long)), (mu, target, long)
+
+    def test_concurrent_requests_get_exact_results(self):
+        _lossy_weights.cache_clear()
+        # rising cutoffs make the threads replace the entry again and again
+        cutoffs = np.tile(np.arange(400), (8, 1))
+        expected = self.fresh(0.45, 2, int(cutoffs.max()))
+        failures = []
+
+        def worker(row):
+            for n_max in row:
+                weights = _lossy_weights(0.45, 2, int(n_max))
+                if not np.array_equal(weights, expected[:, : n_max + 1]):
+                    failures.append(int(n_max))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(row,)) for row in cutoffs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

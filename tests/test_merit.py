@@ -302,7 +302,9 @@ class TestLossyFunctionals:
     def test_weights_are_cached_and_read_only(self):
         weights = _lossy_weights(0.7, 1, 50)
         assert weights.shape == (2, 51)
-        assert _lossy_weights(0.7, 1, 50) is weights
+        misses = _lossy_weights.cache_info().misses
+        assert np.array_equal(_lossy_weights(0.7, 1, 50), weights)
+        assert _lossy_weights.cache_info().misses == misses
         with pytest.raises(ValueError):
             weights[0, 0] = 1.0
 
