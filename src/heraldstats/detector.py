@@ -11,11 +11,14 @@ Detectors left unhit click on a dark count with d = 1 - exp(-nu/N):
 
     w_n(k) = sum_{j<=k} hit_j(n) C(N-j, k-j) d^(k-j) (1-d)^(N-k) .
 
-The recurrence runs forward in n and the sum over j is taken entry by
-entry, so w_n(k) for n <= n_max comes out bit for bit the same whatever
-n_max it is computed at.  The validated weights are therefore cached by
-(detector, clicks) alone: each outcome keeps the longest vector computed so
-far, and a smaller cutoff gets an exact read-only prefix of it.
+Column j = 0, hit_0(n) = (1 - mu)^n, is a running product: one multiply
+per entry, the same one the band solve of the other columns would do, so
+its bits are those of the solve.  The recurrence runs forward in n and the
+sum over j is taken entry by entry, so w_n(k) for n <= n_max comes out bit
+for bit the same whatever n_max it is computed at.  The validated weights
+are therefore cached by (detector, clicks) alone: each outcome keeps the
+longest vector computed so far, and a smaller cutoff gets an exact
+read-only prefix of it.
 """
 
 from __future__ import annotations
@@ -81,14 +84,16 @@ def _click_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.
     fill[clicks] = math.exp(-detector.dark_count_prob * (n_det - clicks) / n_det)
     for j in range(clicks - 1, -1, -1):
         fill[j] = fill[j + 1] * dark * (n_det - j) / (clicks - j)
-    # hit_j(n+1) = (1 - mu + mu j/N) hit_j(n) + mu (N-j+1)/N hit_{j-1}(n): one in-place
-    # unit lower-bidiagonal solve per column; Fortran order spares the wrapper a copy.
+    # hit_j(n+1) = (1 - mu + mu j/N) hit_j(n) + mu (N-j+1)/N hit_{j-1}(n).  Column 0
+    # is the running product (1 - mu)^n; each later column is one in-place unit
+    # lower-bidiagonal solve.  Fortran order spares the wrapper a copy.
     hits = np.zeros((n_max + 1, clicks + 1), order="F")
     hits[0, 0] = 1.0
+    hits[1:, 0] = 1.0 - mu
+    np.multiply.accumulate(hits[:, 0], out=hits[:, 0])
     band = np.empty((2, n_max + 1), order="F")
-    for j in range(clicks + 1):
-        if j:
-            np.multiply(hits[:-1, j - 1], mu * (n_det - j + 1) / n_det, out=hits[1:, j])
+    for j in range(1, clicks + 1):
+        np.multiply(hits[:-1, j - 1], mu * (n_det - j + 1) / n_det, out=hits[1:, j])
         band[1] = -(1.0 - mu + mu * j / n_det)
         dtbtrs(band, hits[:, j : j + 1], "L", "N", "U", 1)
     # Weight and sum the columns entry by entry, not by a matrix-vector product,

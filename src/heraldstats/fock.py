@@ -51,9 +51,11 @@ class TruncationCapError(ValueError):
     def __init__(self, required_n_max: int, cap: int):
         self.required_n_max = required_n_max
         self.cap = cap
+        shown = str(required_n_max)
+        if len(shown) > 16:  # huge nbar: keep the message short
+            shown = f"about {shown[0]}.{shown[1:4]}e{len(shown) - 1}"
         super().__init__(
-            f"truncation cap {cap} exceeded: the requested tail bound needs "
-            f"n_max = {required_n_max}"
+            f"truncation cap {cap} exceeded: the requested tail bound needs n_max = {shown}"
         )
 
 
@@ -104,9 +106,17 @@ class Truncation:
         nbar = source.mean_photon_number
         if nbar == 0.0:
             return 0
-        log_ratio = math.log(nbar / (1.0 + nbar))
+        # log(nbar / (1 + nbar)); formed by division, it rounds to 0 above nbar ~ 9e15.
+        log_ratio = -math.log1p(1.0 / nbar)
         log_eps = math.log(self.tail_epsilon)
-        needed = max(math.ceil(log_eps / log_ratio) - 1, 0)
+        steps = log_eps / log_ratio  # inf above nbar ~ 5e306
+        if steps > self.cap + 1:
+            # Past the cap the loop below could not take unit steps (steps passes
+            # 2^53 near nbar ~ 3e14), so count the cutoff floor(steps) exactly.
+            eps_num, eps_den = (-log_eps).as_integer_ratio()
+            ratio_num, ratio_den = (-log_ratio).as_integer_ratio()
+            raise TruncationCapError(eps_num * ratio_den // (eps_den * ratio_num), self.cap)
+        needed = max(math.ceil(steps) - 1, 0)
         while (needed + 1) * log_ratio >= log_eps:
             needed += 1
         if needed > self.cap:

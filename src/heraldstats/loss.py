@@ -14,13 +14,17 @@ whole lossy vector: the overlap with |m> after loss is row m of L applied
 to the lossless distribution, and the lossy parity is sum_n p_n (1-2 mu)^n,
 since each photon independently flips the parity when it survives
 (probability mu) and leaves it alone when lost.  ``_lossy_weights`` caches
-both O(n_max) weight vectors.  It builds the row in numpy, without scipy,
-as (1-mu)^(n-m) times a product of m positive factors (n-m+i)/i * mu per
-entry, carried as mantissa times a power of two so that no cutoff can
-overflow or underflow it on the way.  Every step of both vectors acts on
-each entry alone, so entry n is bit for bit the same at any cutoff >= n:
-the cache is keyed by (mu, m) alone, keeps the longest pair computed so far
-and gives a smaller cutoff an exact read-only prefix of it.
+both O(n_max) weight vectors in one read-only block.  It builds the row in
+numpy, without scipy, as (1-mu)^(n-m) times a product of m positive
+factors (n-m+i)/i * mu per entry, carried as mantissa times a power of two
+so that no cutoff can overflow or underflow it on the way.  The parity
+weights are the running product 1, b, b^2, ... with b = 1 - 2 mu: one
+multiply per entry instead of one ``pow`` (about 20 us instead of about
+420 us at n_max = 3240), within n 2^-53 relative of b^n and exact at
+mu = 0, 1/2 and 1.  Entry n of either vector depends only on entries
+below it, so it is bit for bit the same at any cutoff >= n: the cache is
+keyed by (mu, m) alone, keeps the longest pair computed so far and gives a
+smaller cutoff an exact read-only prefix of it.
 """
 
 from __future__ import annotations
@@ -101,7 +105,9 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
 
-def _loss_row(efficiency: float, target: int, n_max: int) -> np.ndarray:
+def _loss_row(
+    efficiency: float, target: int, n_max: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Row ``target`` of L: C(n, m) mu^m (1-mu)^(n-m) for n = 0..n_max.
 
     For n >= m the entry is (1-mu)^(n-m) times the product over i = 1..m of
@@ -125,11 +131,15 @@ def _loss_row(efficiency: float, target: int, n_max: int) -> np.ndarray:
     workload): against it a miss of ``_lossy_weights`` is about even near
     m = 10 at n_max = 340 and m = 50 at n_max = 3240, and about 8 times
     slower at m = 500, n_max = 3240.
+
+    Written into ``out`` (length n_max + 1) when given, else a new array.
     """
-    row = np.zeros(n_max + 1)
+    row = np.empty(n_max + 1) if out is None else out
+    row[:target] = 0.0
     if target > n_max:
         return row
     if efficiency == 1.0:
+        row[target:] = 0.0
         row[target] = 1.0
         return row
     log_kept = math.log1p(-efficiency)
@@ -145,7 +155,7 @@ def _loss_row(efficiency: float, target: int, n_max: int) -> np.ndarray:
     for i in range(1, target + 1):
         mantissa, shift = np.frexp(mantissa * (excess + i) * (efficiency / i))
         exponent += shift
-    row[target:] = np.ldexp(mantissa, exponent)
+    np.ldexp(mantissa, exponent, out=row[target:])
     return row
 
 
@@ -158,12 +168,19 @@ def _lossy_weights(efficiency: float, target: int, n_max: int) -> np.ndarray:
     Dotted with a lossless distribution they give the lossy overlap with
     |target> and the lossy parity.  The row is the product form of
     ``_loss_row``, computed without scipy; it agrees with the matrix row of
-    ``_loss_matrix`` to rounding.
+    ``_loss_matrix`` to rounding.  The parity row is the running product
+    1, b, b^2, ... with b = 1 - 2 mu: one multiply per entry (about 20 us
+    at n_max = 3240, against about 420 us for one ``pow`` per entry).
+    Entry n takes n - 1 roundings, so it lies within n 2^-53 relative of
+    b^n; it is exact at mu = 0, 1/2 and 1 (b = 1, 0, -1).  Both rows are
+    written in place into the block that is returned.
     """
-    n = np.arange(n_max + 1)
-    weights = np.stack(
-        [_loss_row(efficiency, target, n_max), (1.0 - 2.0 * efficiency) ** n]
-    )
+    weights = np.empty((2, n_max + 1))
+    _loss_row(efficiency, target, n_max, out=weights[0])
+    parity = weights[1]
+    parity[0] = 1.0
+    parity[1:] = 1.0 - 2.0 * efficiency
+    np.multiply.accumulate(parity, out=parity)
     weights.flags.writeable = False
     return weights
 

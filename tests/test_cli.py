@@ -59,6 +59,13 @@ class TestReportCommand:
     def test_missing_flags_usage_error(self, capsys):
         assert main(["report", "--car", "15"]) == 2
 
+    def test_huge_nbar_exceeds_cap(self, capsys):
+        code = main(["report", "--nbar", "1e20", "--clicks", "1", "--mu-h", "0.8", "--mu-s", "0.7"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: truncation cap 4096 exceeded" in captured.err
+        assert captured.out == ""
+
     def test_car_and_nbar_conflict(self, capsys):
         code = main([
             "report", "--car", "15", "--nbar", "0.1",
@@ -443,6 +450,10 @@ class TestCalibrateCommand:
 
     def test_requires_argument(self):
         assert main(["calibrate"]) == 2
+
+    def test_huge_nbar_exceeds_cap(self, capsys):
+        assert main(["calibrate", "--nbar", "1e300"]) == 1
+        assert "error: truncation cap 4096 exceeded" in capsys.readouterr().err
 
     def test_infinite_car_usage_error(self, capsys):
         assert main(["calibrate", "--car", "inf"]) == 2

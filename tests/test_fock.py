@@ -111,6 +111,40 @@ class TestTruncation:
         assert Truncation.fixed(17).resolve_n_max(TwinBeamSource(0.0)) == 17
         assert Truncation.fixed(17).resolve_n_max(TwinBeamSource(50.0)) == 17
 
+    @staticmethod
+    def divided_log_cutoff(nbar, tail_epsilon):
+        """The cutoff with log(nbar / (1 + nbar)) formed by division, finite below nbar ~ 9e15."""
+        log_ratio = math.log(nbar / (1.0 + nbar))
+        log_eps = math.log(tail_epsilon)
+        needed = max(math.ceil(log_eps / log_ratio) - 1, 0)
+        while (needed + 1) * log_ratio >= log_eps:
+            needed += 1
+        return needed
+
+    @pytest.mark.parametrize("tail_epsilon", [1e-14, 1e-6])
+    def test_cutoff_matches_divided_log(self, tail_epsilon):
+        trunc = Truncation.adaptive(tail_epsilon)
+        wide = Truncation.adaptive(tail_epsilon, cap=10**6)
+        for nbar in np.geomspace(1e-3, 1e4, 4001):
+            nbar = float(nbar)
+            expected = self.divided_log_cutoff(nbar, tail_epsilon)
+            assert wide.resolve_n_max(TwinBeamSource(nbar)) == expected, nbar
+            if expected <= trunc.cap:
+                assert trunc.resolve_n_max(TwinBeamSource(nbar)) == expected, nbar
+            else:
+                with pytest.raises(TruncationCapError) as err:
+                    trunc.resolve_n_max(TwinBeamSource(nbar))
+                assert err.value.required_n_max == expected, nbar
+
+    @pytest.mark.parametrize("nbar", [5e15, 1e16, 1e20, 1e300, 1.7976931348623157e308])
+    def test_huge_nbar_exceeds_cap(self, nbar):
+        # log(nbar / (1 + nbar)) rounds to 0 above nbar ~ 9e15, and the
+        # requested cutoff itself overflows a float above ~5e306
+        with pytest.raises(TruncationCapError, match="^truncation cap 4096 exceeded") as err:
+            Truncation.adaptive().resolve_n_max(TwinBeamSource(nbar))
+        # the required cutoff is about -log(1e-14) nbar, as an exact integer
+        assert err.value.required_n_max / int(nbar) == pytest.approx(-math.log(1e-14), rel=1e-9)
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             Truncation.adaptive(0.0)

@@ -8,6 +8,7 @@ from heraldstats import (
     HeraldConfig,
     ImpossibleHeraldError,
     Truncation,
+    TruncationCapError,
     TwinBeamSource,
     herald,
     mean,
@@ -21,6 +22,10 @@ from conftest import config, detector
 
 
 class TestHerald:
+    def test_huge_nbar_exceeds_cap(self):
+        with pytest.raises(TruncationCapError, match="^truncation cap 4096 exceeded"):
+            herald(HeraldConfig(TwinBeamSource(1e20), detector(0.8), 1))
+
     @pytest.mark.parametrize("nbar", [0.2, 1.0])
     @pytest.mark.parametrize("mu_h", [0.3, 0.7])
     def test_zero_click_herald_stays_thermal(self, nbar, mu_h):

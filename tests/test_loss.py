@@ -144,7 +144,9 @@ class TestLossyWeightsCache:
 
     @staticmethod
     def fresh(mu, target, n_max):
-        return np.stack([_loss_row(mu, target, n_max), (1.0 - 2.0 * mu) ** np.arange(n_max + 1)])
+        # parity weights: the running product 1, b, b^2, ... with b = 1 - 2 mu
+        parity = np.cumprod(np.concatenate([[1.0], np.full(n_max, 1.0 - 2.0 * mu)]))
+        return np.stack([_loss_row(mu, target, n_max), parity])
 
     def test_short_after_long_is_an_exact_prefix(self):
         _lossy_weights.cache_clear()

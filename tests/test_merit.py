@@ -252,7 +252,9 @@ class TestLossyFunctionals:
     def test_matches_apply_loss_near_floor(self):
         cfg = config(2.01, 1, 0.8)
         assert herald(cfg).statistics.n_max > 3200
-        assert_agrees(cfg, 0.7, 1)
+        # parity base 1 - 2 mu_s of both signs
+        for mu_s in (0.3, 0.7, 0.95):
+            assert_agrees(cfg, mu_s, 1)
 
     @pytest.mark.parametrize("mu_s", [2.2250738585072014e-308, 1e-306, 1e-260, 1e-240])
     def test_tiny_efficiency(self, mu_s):
@@ -356,6 +358,25 @@ class TestLossyFunctionals:
                         assert abs(mp.mpf(row[n]) / ref - 1) <= tol, (mu, n)
                     else:
                         assert abs(row[n]) <= 1e-249, (mu, n)
+
+    @pytest.mark.parametrize("n_max", [8192, 10000])
+    def test_parity_row_matches_mpmath_beyond_cap(self, n_max):
+        # The running product 1, b, b^2, ... rounds n - 1 times by entry n.
+        # Every mu here has an exact b = 1 - 2 mu, of both signs.
+        mp = pytest.importorskip("mpmath").mp
+        n_grid = sorted(set(np.unique(np.geomspace(1, n_max, 60).astype(int))) | {0, n_max})
+        with mp.workdps(40):
+            for mu in (2.0**-14, 0.3, 0.7, 0.95, 0.9999):
+                assert mp.mpf(1.0 - 2.0 * mu) == 1 - 2 * mp.mpf(mu)
+                parity_weights = _lossy_weights(mu, 1, n_max)[1]
+                for n in n_grid:
+                    ref = (1 - 2 * mp.mpf(mu)) ** n
+                    tol = n * 2.0**-53 * abs(ref) + mp.mpf("1e-300")
+                    assert abs(mp.mpf(parity_weights[n]) - ref) <= tol, (mu, n)
+
+    @pytest.mark.parametrize("mu,base", [(0.0, 1.0), (0.5, 0.0), (1.0, -1.0)])
+    def test_parity_row_exact_cases(self, mu, base):
+        assert np.array_equal(_lossy_weights(mu, 1, 3500)[1], base ** np.arange(3501))
 
 
 class TestLossyProperties:
