@@ -30,7 +30,7 @@ from .heralding import (
     herald,
     success_probability,
 )
-from .loss import LossChannel, UnphysicalInversionError, apply_loss, invert_loss
+from .loss import LossChannel, apply_loss
 from .merit import (
     FigureOfMeritReport,
     NonConvergentSeriesError,
@@ -47,7 +47,6 @@ from .sweep import (
     FOM_NAMES,
     SweepAxis,
     find_optimum,
-    mean_vs_car_curve,
     run_sweep,
     threshold_region,
 )
@@ -76,9 +75,7 @@ __all__ = [
     "herald",
     "success_probability",
     "LossChannel",
-    "UnphysicalInversionError",
     "apply_loss",
-    "invert_loss",
     "FigureOfMeritReport",
     "NonConvergentSeriesError",
     "cross_correlation",
@@ -92,7 +89,6 @@ __all__ = [
     "FOM_NAMES",
     "SweepAxis",
     "find_optimum",
-    "mean_vs_car_curve",
     "run_sweep",
     "threshold_region",
 ]

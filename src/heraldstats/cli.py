@@ -11,10 +11,11 @@ the status where needed.
 
 Outside input is checked once, here: ``_SPEC_SCHEMA`` declares every spec
 section, its keys and each key's type (numbers must be finite),
-``_truncation`` builds the cutoff policy from the flags or the spec's
-``truncation`` section (flags win), and an output destination is checked
-before any point is evaluated.  The library does not check again what it
-derives from these values.
+``cmd_sweep`` checks that ``herald.k`` lies in 0..N and a fixed
+``signal.mu_s`` in [0, 1], ``_truncation`` builds the cutoff policy from
+the flags or the spec's ``truncation`` section (flags win), and an output
+destination is checked before any point is evaluated.  The library does
+not check again what it derives from these values.
 """
 
 from __future__ import annotations
@@ -30,17 +31,12 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .detector import ClickDetectorArray
+from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS, ClickDetectorArray
 from .fock import DEFAULT_TAIL_EPSILON, TRUNCATION_CAP, Truncation, mean
 from .heralding import HeraldConfig, herald
 from .sweep import COLUMNS, SweepAxis, _source_for, run_sweep
 
-__all__ = ["main", "run", "CSV_COLUMNS"]
-
-CSV_COLUMNS = COLUMNS
-
-DEFAULT_NUM_DETECTORS = 4
-DEFAULT_DARK_COUNT = 5e-4
+__all__ = ["main", "run"]
 
 
 class SpecError(Exception):
@@ -60,8 +56,8 @@ def _json_number(value: float):
 
 
 def _rows(table: dict[str, np.ndarray]):
-    """The table's rows as tuples of Python cells, in CSV_COLUMNS order."""
-    return zip(*(table[name].tolist() for name in CSV_COLUMNS))
+    """The table's rows as tuples of Python cells, in COLUMNS order."""
+    return zip(*(table[name].tolist() for name in COLUMNS))
 
 
 def _render(row, number) -> list:
@@ -73,11 +69,11 @@ def _write_table(table: dict[str, np.ndarray], fmt: str, out: str | None) -> Non
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(COLUMNS)
         writer.writerows(_render(row, _fmt) for row in _rows(table))
         text = buffer.getvalue()
     else:
-        rows = [dict(zip(CSV_COLUMNS, _render(row, _json_number))) for row in _rows(table)]
+        rows = [dict(zip(COLUMNS, _render(row, _json_number))) for row in _rows(table)]
         text = json.dumps(rows, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -194,9 +190,9 @@ def cmd_report(args) -> int:
     if status != "ok":
         print(status, file=sys.stderr)
         return 1
-    width = max(len(name) for name in CSV_COLUMNS)
+    width = max(len(name) for name in COLUMNS)
     (row,) = _rows(table)
-    for name, text in zip(CSV_COLUMNS, _render(row, lambda value: _fmt(value) or "nan")):
+    for name, text in zip(COLUMNS, _render(row, lambda value: _fmt(value) or "nan")):
         print(f"{name:<{width}}  {text}")
     if args.out is not None:
         _write_table(table, args.format or "csv", args.out)
@@ -282,6 +278,11 @@ def cmd_sweep(args) -> int:
         raise SpecError("source must give exactly one of car or nbar")
     if target_section.get("m", 0) < 0:
         raise SpecError("target.m must be >= 0")
+    clicks, num_detectors = herald_section["k"], detector.get("N", DEFAULT_NUM_DETECTORS)
+    if not 0 <= clicks <= num_detectors:
+        raise SpecError(f"herald.k: click count {clicks} outside 0..{num_detectors}")
+    if "mu_s" in signal and not 0.0 <= signal["mu_s"] <= 1.0:
+        raise SpecError(f"signal.mu_s: efficiency must lie in [0, 1], got {signal['mu_s']!r}")
     fmt = args.format or outputs.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise SpecError(f"unknown output format {fmt!r}")
@@ -296,9 +297,9 @@ def cmd_sweep(args) -> int:
     try:
         table = run_sweep(
             axes,
-            clicks=herald_section["k"],
+            clicks=clicks,
             target=target_section.get("m"),
-            num_detectors=detector.get("N", DEFAULT_NUM_DETECTORS),
+            num_detectors=num_detectors,
             dark_count_prob=detector.get("nu", DEFAULT_DARK_COUNT),
             car=source.get("car"),
             nbar=source.get("nbar"),
@@ -317,11 +318,7 @@ def cmd_calibrate(args) -> int:
     if args.car is None and not args.nbar > 0:
         raise ValueError("calibration needs nbar > 0")
     car, nbar, source = _source_for(args.car, args.nbar)
-    detector = ClickDetectorArray(
-        efficiency=0.5,
-        num_detectors=DEFAULT_NUM_DETECTORS,
-        dark_count_prob=DEFAULT_DARK_COUNT,
-    )
+    detector = ClickDetectorArray(efficiency=0.5)
     rows = [
         ("car", car),
         ("nbar", nbar),

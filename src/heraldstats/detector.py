@@ -39,14 +39,18 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 
+#: Default array size N and dark-count parameter nu, for the library and the CLI.
+DEFAULT_NUM_DETECTORS = 4
+DEFAULT_DARK_COUNT = 5e-4
+
 
 @dataclass(frozen=True)
 class ClickDetectorArray:
     """N click detectors with per-array efficiency and dark-count parameter."""
 
     efficiency: float
-    num_detectors: int = 4
-    dark_count_prob: float = 5e-4
+    num_detectors: int = DEFAULT_NUM_DETECTORS
+    dark_count_prob: float = DEFAULT_DARK_COUNT
 
     def __post_init__(self):
         if self.num_detectors < 1:

@@ -21,16 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import ClickDetectorArray
+from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS, ClickDetectorArray
 from .fock import (
     DEFAULT_TRUNCATION,
     Truncation,
     TwinBeamSource,
     car_from_source,
-    mean,
     nbar_from_car,
 )
-from .heralding import HeraldConfig, herald
+from .heralding import HeraldConfig
 from .loss import LossChannel
 from .merit import report
 
@@ -42,7 +41,6 @@ __all__ = [
     "run_sweep",
     "threshold_region",
     "find_optimum",
-    "mean_vs_car_curve",
 ]
 
 SWEEP_PARAMETERS = ("car", "mu_h", "mu_s")
@@ -135,8 +133,8 @@ def run_sweep(
     *,
     clicks: int,
     target: int | None = None,
-    num_detectors: int = 4,
-    dark_count_prob: float = 5e-4,
+    num_detectors: int = DEFAULT_NUM_DETECTORS,
+    dark_count_prob: float = DEFAULT_DARK_COUNT,
     car: float | None = None,
     nbar: float | None = None,
     mu_h: float | None = None,
@@ -231,33 +229,3 @@ def find_optimum(
     # np.lexsort sorts by its last key first: objective, then car, -mu_h, -mu_s
     keys = (-table["mu_s"], -table["mu_h"], table["car"], sign * table[fom])
     return int(rows[np.lexsort([key[rows] for key in keys])[0]])
-
-
-def mean_vs_car_curve(
-    *,
-    clicks: int,
-    mu_h_values: Sequence[float],
-    car_axis: SweepAxis,
-    num_detectors: int = 4,
-    dark_count_prob: float = 5e-4,
-    trunc: Truncation = DEFAULT_TRUNCATION,
-) -> list[tuple[float, float, float]]:
-    """Loss-corrected heralded mean photon number versus CAR.
-
-    The mean of the lossless heralded statistics equals the loss-degraded
-    mean divided by mu_s, so no signal efficiency enters here at all.
-    """
-    if car_axis.parameter != "car":
-        raise ValueError("mean_vs_car_curve needs a car axis")
-    rows = []
-    for car in car_axis.grid():
-        source = nbar_from_car(float(car))
-        for mu_h in mu_h_values:
-            detector = ClickDetectorArray(
-                efficiency=float(mu_h),
-                num_detectors=num_detectors,
-                dark_count_prob=dark_count_prob,
-            )
-            state = herald(HeraldConfig(source, detector, clicks, trunc))
-            rows.append((float(car), float(mu_h), mean(state.statistics)))
-    return rows

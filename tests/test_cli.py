@@ -5,8 +5,8 @@ import math
 import pytest
 
 import heraldstats.cli
-from heraldstats import LossChannel, Truncation, report
-from heraldstats.cli import CSV_COLUMNS, main
+from heraldstats import COLUMNS, LossChannel, Truncation, report
+from heraldstats.cli import main
 
 from conftest import config
 
@@ -150,9 +150,9 @@ class TestSweepCommand:
         raw = out.read_bytes()
         assert b"\r\n" not in raw  # LF endings only
         rows = list(csv.reader(raw.decode().splitlines()))
-        assert rows[0] == CSV_COLUMNS
+        assert rows[0] == COLUMNS
         assert len(rows) == 4
-        status = rows[1][CSV_COLUMNS.index("status")]
+        status = rows[1][COLUMNS.index("status")]
         assert status == "ok"
 
     def test_csv_and_json_round_trip_identical(self, tmp_path):
@@ -165,7 +165,7 @@ class TestSweepCommand:
         json_rows = json.loads(out_json.read_text())
         assert len(csv_rows) == len(json_rows)
         for c_row, j_row in zip(csv_rows, json_rows):
-            for name in CSV_COLUMNS:
+            for name in COLUMNS:
                 if name == "status":
                     assert c_row[name] == j_row[name]
                 elif c_row[name] == "":
@@ -260,6 +260,20 @@ class TestSweepCommand:
         spec = basic_spec(target={"m": -1}, outputs={"path": str(out)})
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
         assert "error: target.m must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,value,key",
+        [("herald", {"k": 5}, "herald.k"), ("signal", {"mu_s": 1.5}, "signal.mu_s")],
+    )
+    def test_out_of_range_fixed_value_rejected(self, tmp_path, capsys, section, value, key):
+        # not a table of error rows: the value is wrong for every point
+        out = tmp_path / "out.csv"
+        spec = basic_spec(**{section: value, "outputs": {"path": str(out)}})
+        assert main(["sweep", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {key}: ")
+        assert captured.out == ""
         assert not out.exists()
 
     def test_non_integer_clicks_rejected(self, tmp_path):

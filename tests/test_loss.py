@@ -9,10 +9,8 @@ from heraldstats import (
     PhotonStatistics,
     Truncation,
     TwinBeamSource,
-    UnphysicalInversionError,
     apply_loss,
     factorial_moment,
-    invert_loss,
     mean,
     thermal_distribution,
 )
@@ -76,58 +74,6 @@ class TestApplyLoss:
             LossChannel(1.5)
         with pytest.raises(ValueError):
             LossChannel(-0.2)
-
-
-class TestInvertLoss:
-    def test_unit_efficiency_is_identity(self):
-        stats = thermal(0.4)
-        assert invert_loss(LossChannel(1.0), stats) is stats
-
-    def test_zero_efficiency_not_invertible(self):
-        with pytest.raises(ValueError):
-            invert_loss(LossChannel(0.0), thermal(0.4))
-
-    def test_round_trip_thermal(self):
-        stats = thermal(0.2)
-        channel = LossChannel(0.7)
-        recovered = invert_loss(channel, apply_loss(channel, stats))
-        np.testing.assert_allclose(
-            recovered.probabilities, stats.probabilities, atol=1e-9
-        )
-
-    def test_round_trip_fock(self):
-        stats = PhotonStatistics.fock(3, 6)
-        channel = LossChannel(0.6)
-        recovered = invert_loss(channel, apply_loss(channel, stats))
-        np.testing.assert_allclose(
-            recovered.probabilities, stats.probabilities, atol=1e-9
-        )
-
-    def test_forward_of_inverse_is_identity(self):
-        lossy = apply_loss(LossChannel(0.5), thermal(0.3))
-        again = apply_loss(LossChannel(0.5), invert_loss(LossChannel(0.5), lossy))
-        np.testing.assert_allclose(
-            again.probabilities, lossy.probabilities, atol=1e-9
-        )
-
-    def test_unphysical_inversion_reports_vector(self):
-        # a bare single photon is not the image of any state under 50% loss:
-        # the algebraic inverse needs a negative vacuum weight of -1
-        with pytest.raises(UnphysicalInversionError) as err:
-            invert_loss(LossChannel(0.5), PhotonStatistics.fock(1))
-        carried = err.value.values
-        assert carried[0] == pytest.approx(-1.0, abs=1e-12)
-        assert carried[1] == pytest.approx(2.0, abs=1e-12)
-
-    def test_moderate_negativity_clamped_with_warning(self):
-        # perturb a lossy vector just enough to pull the inverse slightly negative
-        lossy = apply_loss(LossChannel(0.5), PhotonStatistics.fock(1, 3))
-        bumped = lossy.probabilities.copy()
-        bumped[0] -= 2.0e-8
-        bumped[1] += 2.0e-8
-        with pytest.warns(UserWarning, match="negativity"):
-            recovered = invert_loss(LossChannel(0.5), PhotonStatistics(bumped))
-        assert recovered.probabilities.min() >= 0.0
 
 
 class TestLossyWeightsCache:

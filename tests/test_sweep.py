@@ -10,7 +10,6 @@ from heraldstats import (
     SweepAxis,
     find_optimum,
     mean,
-    mean_vs_car_curve,
     nbar_from_car,
     report,
     run_sweep,
@@ -165,6 +164,19 @@ class TestRunSweep:
         table = run_sweep([], clicks=2, car=23.0, mu_h=1.0, mu_s=1.0)
         assert table["target"][0] == 2
 
+    def test_mean_corrected_matches_direct_herald_mean(self):
+        # the loss-corrected mean is the lossless heralded mean, bit for bit
+        table = run_sweep([], clicks=2, car=23.0, mu_h=0.5, mu_s=1.0)
+        assert table["mean_corrected"][0] == mean(herald(config(23.0, 2, 0.5)).statistics)
+
+    def test_single_photon_mean_plateau(self):
+        # the loss-corrected heralded mean stays near one photon for CAR 10-100
+        axis = SweepAxis("car", 10.0, 100.0, 25, "logarithmic")
+        for mu_h in (0.4, 0.6, 1.0):
+            table = run_sweep([axis], clicks=1, mu_h=mu_h, mu_s=1.0)
+            assert table["status"].tolist() == ["ok"] * 25
+            np.testing.assert_allclose(table["mean_corrected"], 1.0, atol=0.15)
+
     def test_large_array_points_are_ok(self):
         # 8 of 16 clicks: the click weights must stay inside [0, 1] at every mu_h
         axes = [SweepAxis("mu_h", 0.1, 1.0, 10)]
@@ -302,33 +314,3 @@ class TestMonotoneAndStability:
             car_coarse = coarse["car"][find_optimum(coarse, fom, direction)]
             car_fine = fine["car"][find_optimum(fine, fom, direction)]
             assert abs(math.log(car_fine / car_coarse)) < math.log(cell)
-
-
-class TestMeanVsCarCurve:
-    def test_single_photon_plateau(self):
-        rows = mean_vs_car_curve(
-            clicks=1,
-            mu_h_values=[0.4, 0.6, 1.0],
-            car_axis=SweepAxis("car", 10.0, 100.0, 25, "logarithmic"),
-        )
-        assert len(rows) == 75
-        for _, _, value in rows:
-            assert value == pytest.approx(1.0, abs=0.15)
-
-    def test_matches_direct_herald_mean(self):
-        rows = mean_vs_car_curve(
-            clicks=2,
-            mu_h_values=[0.5],
-            car_axis=SweepAxis("car", 23.0, 23.0, 1, "logarithmic"),
-        )
-        car, mu_h, value = rows[0]
-        direct = mean(herald(config(23.0, 2, 0.5)).statistics)
-        assert value == direct
-
-    def test_needs_car_axis(self):
-        with pytest.raises(ValueError):
-            mean_vs_car_curve(
-                clicks=1,
-                mu_h_values=[0.5],
-                car_axis=SweepAxis("mu_h", 0.1, 0.9, 5),
-            )
