@@ -1,21 +1,21 @@
 """Command-line front end: single-point reports, sweeps from JSON specs, calibration.
 
 Exit statuses: 0 success, 1 domain/numerical error, 2 usage or spec error,
-including an output path that cannot be written.  Both ``report`` and
-``sweep`` evaluate through ``run_sweep`` (``report`` as a sweep with no
-axes) and write its table: CSV (LF line endings, '.' decimals) or JSON,
-with numbers serialized to 12 significant digits so downstream tolerances
-are never limited by the serialization.  Each CSV row is rendered cell by
-cell (non-finite cells empty) and written by ``csv.writer``, which quotes
-the status where needed.
+including a value out of range or an output path that cannot be written.
+Every command uses the default cutoff (adaptive, tail 1e-14, cap 4096).
+``report`` and ``sweep`` evaluate through ``run_sweep`` (``report`` as a
+sweep with no axes) and write its table: CSV (LF line endings, '.'
+decimals) or JSON, with numbers serialized to 12 significant digits so
+downstream tolerances are never limited by the serialization.  Each CSV row
+is rendered cell by cell (non-finite cells empty) and written by
+``csv.writer``, which quotes the status where needed.
 
 Outside input is checked once, here: ``_SPEC_SCHEMA`` declares every spec
 section, its keys and each key's type (numbers must be finite),
-``cmd_sweep`` checks that ``herald.k`` lies in 0..N and a fixed
-``signal.mu_s`` in [0, 1], ``_truncation`` builds the cutoff policy from
-the flags or the spec's ``truncation`` section (flags win), and an output
-destination is checked before any point is evaluated.  The library does
-not check again what it derives from these values.
+``_sweep_table`` names the flag or key of a click count, fixed ``mu_s`` or
+target out of range and makes any fixed value ``run_sweep`` rejects a
+usage error, and an output destination is checked before any point is
+evaluated.  The library does not check again what it derives from these.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS, ClickDetectorArray
-from .fock import DEFAULT_TAIL_EPSILON, TRUNCATION_CAP, Truncation, mean
+from .fock import mean
 from .heralding import HeraldConfig, herald
 from .sweep import COLUMNS, SweepAxis, _source_for, run_sweep
 
@@ -90,22 +90,6 @@ def _check_destination(out: str | None) -> None:
         raise SpecError(f"cannot write {out!r}: not a file in an existing directory")
 
 
-def _truncation(n_max: int | None, tail_epsilon: float | None, cap: int | None) -> Truncation:
-    """Cutoff policy: fixed at ``n_max`` if given, else adaptive; ``cap`` bounds either."""
-    if n_max is not None and tail_epsilon is not None:
-        raise SpecError("n_max (--truncation) and tail_epsilon (--tail-eps) are mutually "
-                        "exclusive")
-    try:
-        if n_max is not None:
-            return Truncation.fixed(n_max, cap=cap)
-        return Truncation.adaptive(
-            DEFAULT_TAIL_EPSILON if tail_epsilon is None else tail_epsilon,
-            cap=TRUNCATION_CAP if cap is None else cap,
-        )
-    except ValueError as exc:
-        raise SpecError(f"bad truncation: {exc}") from exc
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a float flag must be finite, as spec numbers must."""
     value = float(text)
@@ -119,13 +103,6 @@ def _output_options(parser: argparse.ArgumentParser) -> None:
                         help="structured output format (default csv)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write structured output to PATH")
-
-
-def _truncation_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--truncation", type=int, metavar="N_MAX", default=None,
-                        help="fixed photon-number cutoff")
-    parser.add_argument("--tail-eps", type=float, metavar="EPS", default=None,
-                        help=f"adaptive tail bound (default {DEFAULT_TAIL_EPSILON:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,32 +126,46 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--nu", type=_finite_float, default=DEFAULT_DARK_COUNT,
                      help="dark-count parameter of the array")
     _output_options(rep)
-    _truncation_options(rep)
     rep.set_defaults(func=cmd_report)
 
     swp = sub.add_parser("sweep", help="grid scan driven by a JSON spec file")
     swp.add_argument("spec", help="path to the sweep spec (JSON)")
     _output_options(swp)
-    _truncation_options(swp)
     swp.set_defaults(func=cmd_sweep)
 
     cal = sub.add_parser("calibrate", help="CAR/nbar conversion table")
     group = cal.add_mutually_exclusive_group(required=True)
     group.add_argument("--car", type=_finite_float)
     group.add_argument("--nbar", type=_finite_float)
-    _truncation_options(cal)
     cal.set_defaults(func=cmd_calibrate)
     return parser
+
+
+def _sweep_table(names: tuple[str, str, str], axes: list[SweepAxis], *, clicks: int,
+                 num_detectors: int, mu_s: float | None, target: int | None,
+                 **fixed) -> dict[str, np.ndarray]:
+    """``run_sweep``'s table; ``names`` name the click count, mu_s and target in errors."""
+    clicks_name, mu_s_name, target_name = names
+    if target is not None and target < 0:
+        raise SpecError(f"{target_name} must be >= 0")
+    # N < 1 is the detector's own error, raised by run_sweep
+    if num_detectors >= 1 and not 0 <= clicks <= num_detectors:
+        raise SpecError(f"{clicks_name}: click count {clicks} outside 0..{num_detectors}")
+    if mu_s is not None and not 0.0 <= mu_s <= 1.0:
+        raise SpecError(f"{mu_s_name}: efficiency must lie in [0, 1], got {mu_s!r}")
+    try:
+        return run_sweep(axes, clicks=clicks, num_detectors=num_detectors, mu_s=mu_s,
+                         target=target, **fixed)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
 
 
 def cmd_report(args) -> int:
     if args.format is not None and args.out is None:
         raise SpecError("--format needs --out")
-    if args.target is not None and args.target < 0:
-        raise SpecError("--target must be >= 0")
-    trunc = _truncation(args.truncation, args.tail_eps, None)
     _check_destination(args.out)
-    table = run_sweep(
+    table = _sweep_table(
+        ("--clicks", "--mu-s", "--target"),
         [],
         clicks=args.clicks,
         target=args.target,
@@ -184,7 +175,6 @@ def cmd_report(args) -> int:
         nbar=args.nbar,
         mu_h=args.mu_h,
         mu_s=args.mu_s,
-        trunc=trunc,
     )
     status = table["status"][0]
     if status != "ok":
@@ -204,14 +194,13 @@ def cmd_report(args) -> int:
 _SPEC_SCHEMA: dict[str, dict[str, type]] = {
     "spec": {
         "detector": dict, "source": dict, "signal": dict, "herald": dict,
-        "target": dict, "axes": list, "truncation": dict, "outputs": dict,
+        "target": dict, "axes": list, "outputs": dict,
     },
     "detector": {"N": int, "nu": float, "mu_h": float},
     "source": {"car": float, "nbar": float},
     "signal": {"mu_s": float},
     "herald": {"k": int},
     "target": {"m": int},
-    "truncation": {"n_max": int, "tail_epsilon": float, "cap": int},
     "outputs": {"format": str, "path": str},
     "axis": {"parameter": str, "min": float, "max": float, "steps": int, "scale": str},
 }
@@ -269,55 +258,41 @@ def _load_spec(path: str) -> dict:
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args.spec)
-    detector, source, signal, herald_section, target_section, trunc_section, outputs = (
+    detector, source, signal, herald_section, target_section, outputs = (
         _section(spec.get(name, {}), name)
-        for name in ("detector", "source", "signal", "herald", "target", "truncation", "outputs")
+        for name in ("detector", "source", "signal", "herald", "target", "outputs")
     )
     axes = [_parse_axis(obj, f"axes[{i}]") for i, obj in enumerate(spec.get("axes", []))]
     if "car" in source and "nbar" in source:
         raise SpecError("source must give exactly one of car or nbar")
-    if target_section.get("m", 0) < 0:
-        raise SpecError("target.m must be >= 0")
-    clicks, num_detectors = herald_section["k"], detector.get("N", DEFAULT_NUM_DETECTORS)
-    if not 0 <= clicks <= num_detectors:
-        raise SpecError(f"herald.k: click count {clicks} outside 0..{num_detectors}")
-    if "mu_s" in signal and not 0.0 <= signal["mu_s"] <= 1.0:
-        raise SpecError(f"signal.mu_s: efficiency must lie in [0, 1], got {signal['mu_s']!r}")
     fmt = args.format or outputs.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise SpecError(f"unknown output format {fmt!r}")
     out = args.out if args.out is not None else outputs.get("path")
     _check_destination(out)
-    if args.truncation is not None or args.tail_eps is not None:
-        # the flags replace the section's cutoff; its cap still applies
-        trunc_section.update(n_max=args.truncation, tail_epsilon=args.tail_eps)
-    trunc = _truncation(
-        trunc_section.get("n_max"), trunc_section.get("tail_epsilon"), trunc_section.get("cap")
+    table = _sweep_table(
+        ("herald.k", "signal.mu_s", "target.m"),
+        axes,
+        clicks=herald_section["k"],
+        target=target_section.get("m"),
+        num_detectors=detector.get("N", DEFAULT_NUM_DETECTORS),
+        dark_count_prob=detector.get("nu", DEFAULT_DARK_COUNT),
+        car=source.get("car"),
+        nbar=source.get("nbar"),
+        mu_h=detector.get("mu_h"),
+        mu_s=signal.get("mu_s"),
     )
-    try:
-        table = run_sweep(
-            axes,
-            clicks=clicks,
-            target=target_section.get("m"),
-            num_detectors=num_detectors,
-            dark_count_prob=detector.get("nu", DEFAULT_DARK_COUNT),
-            car=source.get("car"),
-            nbar=source.get("nbar"),
-            mu_h=detector.get("mu_h"),
-            mu_s=signal.get("mu_s"),
-            trunc=trunc,
-        )
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
     _write_table(table, fmt, out)
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    trunc = _truncation(args.truncation, args.tail_eps, None)
     if args.car is None and not args.nbar > 0:
-        raise ValueError("calibration needs nbar > 0")
-    car, nbar, source = _source_for(args.car, args.nbar)
+        raise SpecError("calibration needs nbar > 0")
+    try:
+        car, nbar, source = _source_for(args.car, args.nbar)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
     detector = ClickDetectorArray(efficiency=0.5)
     rows = [
         ("car", car),
@@ -325,7 +300,7 @@ def cmd_calibrate(args) -> int:
         ("lambda_sq", source.squeezing_magnitude),
     ]
     for clicks in (1, 2, 3):
-        state = herald(HeraldConfig(source, detector, clicks, trunc))
+        state = herald(HeraldConfig(source, detector, clicks))
         rows.append((f"mean_ns_k{clicks}", mean(state.statistics)))
     width = max(len(name) for name, _ in rows)
     for name, value in rows:

@@ -22,13 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS, ClickDetectorArray
-from .fock import (
-    DEFAULT_TRUNCATION,
-    Truncation,
-    TwinBeamSource,
-    car_from_source,
-    nbar_from_car,
-)
+from .fock import TwinBeamSource, car_from_source, nbar_from_car
 from .heralding import HeraldConfig
 from .loss import LossChannel
 from .merit import report
@@ -139,7 +133,6 @@ def run_sweep(
     nbar: float | None = None,
     mu_h: float | None = None,
     mu_s: float | None = None,
-    trunc: Truncation = DEFAULT_TRUNCATION,
 ) -> dict[str, np.ndarray]:
     """Evaluate the report on every grid point, row-major over the declared axes.
 
@@ -147,9 +140,10 @@ def run_sweep(
     grid point.  Each of car (or nbar), mu_h and mu_s must appear exactly
     once, either as an axis or as a fixed value; the source is fixed by car
     when given, else by nbar.  The target photon number defaults to the
-    click count.  Bad fixed source or detector parameters raise; a point
-    whose herald or report fails becomes a row with NaN figures of merit and
-    the status ``error: <reason>``.
+    click count, and every point uses ``DEFAULT_TRUNCATION``.  Bad fixed
+    source or detector parameters raise; a point whose herald or report
+    raises ``ValueError`` becomes a row with NaN figures of merit and the
+    status ``error: <reason>``, and any other exception propagates.
     """
     axes = list(axes)
     _validate_assignment(axes, car, nbar, mu_h, mu_s)
@@ -179,11 +173,11 @@ def run_sweep(
                 num_detectors=num_detectors,
                 dark_count_prob=dark_count_prob,
             )
-            config = HeraldConfig(source, detector, clicks, trunc)
+            config = HeraldConfig(source, detector, clicks)
             rep = report(config, LossChannel(mu_s_value), target)
             foms = [getattr(rep, attr) for attr in _FOM_COLUMNS.values()]
             status = "ok"
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             foms = [math.nan] * len(FOM_NAMES)
             status = f"error: {exc}"
         rows.append((car_value, nbar_value, mu_h_value, mu_s_value, clicks, target, *foms, status))

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-import heraldstats.cli
-from heraldstats import COLUMNS, LossChannel, Truncation, report
+from heraldstats import COLUMNS, LossChannel, report
 from heraldstats.cli import main
 
 from conftest import config
@@ -52,8 +51,9 @@ class TestReportCommand:
         assert values["car"] == "nan"
 
     def test_car_at_floor_is_domain_error(self, capsys):
+        # outside the source's domain, and known before any point is evaluated
         code = main(["report", "--car", "2", "--clicks", "1", "--mu-h", "1", "--mu-s", "1"])
-        assert code == 1
+        assert code == 2
         assert "CAR" in capsys.readouterr().err
 
     def test_missing_flags_usage_error(self, capsys):
@@ -105,12 +105,18 @@ class TestReportCommand:
         assert "error: --target must be >= 0" in captured.err
         assert captured.out == ""
 
-    def test_truncation_flag_conflict(self, capsys):
-        code = main([
-            "report", "--car", "15", "--clicks", "1", "--mu-h", "1", "--mu-s", "1",
-            "--truncation", "64", "--tail-eps", "1e-10",
-        ])
-        assert code == 2
+    def test_truncation_flag_conflict(self, tmp_path, capsys):
+        # the cutoff is no flag of any command
+        for argv in (
+            ["report", "--car", "15", "--clicks", "1", "--mu-h", "1", "--mu-s", "1"],
+            ["sweep", write_spec(tmp_path, basic_spec())],
+            ["calibrate", "--car", "3"],
+        ):
+            for flag in (["--truncation", "64"], ["--tail-eps", "1e-10"]):
+                assert main(argv + flag) == 2
+                captured = capsys.readouterr()
+                assert "unrecognized arguments" in captured.err
+                assert captured.out == ""
 
     def test_large_array_report(self, capsys):
         code = main([
@@ -131,15 +137,25 @@ class TestReportCommand:
         assert f"argument {flag}: must be a finite number, got '{value}'" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["report", "sweep"])
-    @pytest.mark.parametrize("flag", [["--truncation", "-1"], ["--tail-eps", "2"]])
-    def test_bad_truncation_flag_usage_error(self, tmp_path, capsys, command, flag):
-        if command == "report":
-            argv = ["report", "--car", "15", "--clicks", "1", "--mu-h", "1", "--mu-s", "1"]
-        else:
-            argv = ["sweep", write_spec(tmp_path, basic_spec())]
-        assert main(argv + flag) == 2
-        assert "bad truncation" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--clicks", "5", "error: --clicks: click count 5 outside 0..4"),
+            ("--mu-s", "1.5", "error: --mu-s: efficiency must lie in [0, 1], got 1.5"),
+            ("--mu-h", "1.5", "error: efficiency must lie in [0, 1], got 1.5"),
+            ("--detectors", "0", "error: need at least one detector"),
+            ("--nu", "-1", "error: dark count parameter must be finite and >= 0, got -1.0"),
+            ("--car", "2", "error: CAR"),
+        ],
+        ids=["clicks", "mu_s", "mu_h", "detectors", "nu", "car"],
+    )
+    def test_out_of_range_flag_usage_error(self, capsys, flag, value, message):
+        # the last value of a repeated flag wins
+        argv = ["report", "--car", "15", "--clicks", "1", "--mu-h", "1", "--mu-s", "1"]
+        assert main(argv + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""
 
 
 class TestSweepCommand:
@@ -224,16 +240,15 @@ class TestSweepCommand:
             ("axes", "steps", True, "axes[0].steps must be an integer"),
             ("axes", "min", "0.4", "axes[0].min must be a number"),
             ("axes", "scale", 3, "axes[0].scale must be a string"),
-            ("truncation", "cap", 1.5, "truncation.cap must be an integer"),
             ("source", "car", math.inf, "source.car must be a finite number"),
             ("signal", "mu_s", math.nan, "signal.mu_s must be a finite number"),
             ("detector", "nu", 10**400, "detector.nu must be a finite number"),
         ],
-        ids=["car-string", "steps-float", "steps-bool", "min-string", "scale-int", "cap-float",
+        ids=["car-string", "steps-float", "steps-bool", "min-string", "scale-int",
              "car-inf", "mu_s-nan", "nu-huge-int"],
     )
     def test_non_numeric_value_rejected(self, tmp_path, capsys, section, key, value, message):
-        spec = basic_spec(truncation={})
+        spec = basic_spec()
         (spec["axes"][0] if section == "axes" else spec[section])[key] = value
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
         assert message in capsys.readouterr().err
@@ -301,35 +316,32 @@ class TestSweepCommand:
         assert rows[0]["fidelity"] == ""
         assert rows[1]["status"] == "ok"
 
-    def test_fixed_truncation_section(self, tmp_path):
-        spec = basic_spec(truncation={"n_max": 64})
-        out = tmp_path / "grid.csv"
-        assert main(["sweep", write_spec(tmp_path, spec), "--out", str(out)]) == 0
-
     @pytest.mark.parametrize(
-        "flag,expected",
+        "overrides,message",
         [
-            (["--truncation", "64"], Truncation.fixed(64)),
-            (["--tail-eps", "1e-8"], Truncation.adaptive(1e-8)),
+            ({"axes": [3]}, "axes[0] must be an object"),
+            ({"herald": {}}, "herald is missing 'k'"),
+            ({"axes": [{"parameter": "mu_h", "min": 0.4, "max": 0.6}]},
+             "axes[0] is missing 'steps'"),
+            ({"axes": [{"parameter": "mu_h", "min": 0.4, "max": 0.6, "steps": 0}]},
+             "bad axis: axis needs at least one step"),
+            ({"axes": [{"parameter": "mu_h", "min": 0.0, "max": 0.6, "steps": 3,
+                        "scale": "logarithmic"}]},
+             "bad axis: logarithmic axes need min > 0"),
+            ({"signal": {}}, "mu_s must appear exactly once"),
+            ({"truncation": {"n_max": 64}}, "unknown key(s) ['truncation'] in spec"),
         ],
+        ids=["axis-not-object", "missing-key", "axis-missing-steps",
+             "zero-steps", "log-axis-from-zero", "no-mu_s", "truncation-section"],
     )
-    def test_truncation_flags_override_section(self, tmp_path, monkeypatch, flag, expected):
-        used = {}
-        sweep = heraldstats.cli.run_sweep
-
-        def capture(axes, **kwargs):
-            used.update(kwargs)
-            return sweep(axes, **kwargs)
-
-        monkeypatch.setattr("heraldstats.cli.run_sweep", capture)
-        path = write_spec(tmp_path, basic_spec(truncation={"n_max": 5}))
-        assert main(["sweep", path] + flag) == 0
-        assert used["trunc"] == expected
-
-    def test_both_truncation_flags_with_section_rejected(self, tmp_path, capsys):
-        path = write_spec(tmp_path, basic_spec(truncation={"n_max": 5}))
-        assert main(["sweep", path, "--truncation", "64", "--tail-eps", "1e-8"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+    def test_malformed_spec_rejected(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "grid.csv"
+        spec = basic_spec(outputs={"path": str(out)}, **overrides)
+        assert main(["sweep", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_bad_fom_name_in_outputs(self, tmp_path, capsys):
         spec = basic_spec(outputs={"foms": ["sparkle"]})
@@ -459,8 +471,8 @@ class TestCalibrateCommand:
         assert 1.06 <= float(values["mean_ns_k1"]) <= 1.08
 
     def test_out_of_domain(self, capsys):
-        assert main(["calibrate", "--car", "1"]) == 1
-        assert main(["calibrate", "--nbar", "-0.5"]) == 1
+        assert main(["calibrate", "--car", "1"]) == 2
+        assert main(["calibrate", "--nbar", "-0.5"]) == 2
 
     def test_requires_argument(self):
         assert main(["calibrate"]) == 2

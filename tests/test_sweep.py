@@ -153,6 +153,15 @@ class TestRunSweep:
             assert table["car"].tolist() == [10.0, 10.0]
             assert table["nbar"].tolist() == [0.125, 0.125]
 
+    def test_fault_is_not_an_error_row(self, monkeypatch):
+        # only the library's ValueErrors become rows; a fault in the code surfaces
+        def fault(*args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr("heraldstats.sweep.report", fault)
+        with pytest.raises(ZeroDivisionError):
+            run_sweep([SweepAxis("mu_h", 0.2, 0.8, 2)], clicks=1, car=10.0, mu_s=1.0)
+
     def test_nbar_fixed_point(self):
         table = run_sweep([], clicks=1, nbar=1.0, mu_h=1.0, mu_s=1.0)
         assert table["car"][0] == pytest.approx(3.0)
