@@ -2,13 +2,13 @@
 
 Exit statuses: 0 success, 1 domain/numerical error, 2 usage or spec error,
 including a value out of range or an output path that cannot be written.
-Every command uses the default cutoff (adaptive, tail 1e-14, cap 4096).
-``report`` and ``sweep`` evaluate through ``run_sweep`` (``report`` as a
-sweep with no axes) and write its table: CSV (LF line endings, '.'
-decimals) or JSON, with numbers serialized to 12 significant digits so
-downstream tolerances are never limited by the serialization.  Each CSV row
-is rendered cell by cell (non-finite cells empty) and written by
-``csv.writer``, which quotes the status where needed.
+Every command uses the default cutoff (adaptive, tail 1e-14, cap 4096)
+and evaluates through ``run_sweep``; ``report`` and ``calibrate`` run it
+with no axes.  ``report`` and ``sweep`` write its table: CSV (LF line
+endings, '.' decimals) or JSON, with numbers serialized to 12 significant
+digits so downstream tolerances are never limited by the serialization.
+Each CSV row is rendered cell by cell (non-finite cells empty) and written
+by ``csv.writer``, which quotes the status where needed.
 
 Outside input is checked once, here: ``_SPEC_SCHEMA`` declares every spec
 section, its keys and each key's type (numbers must be finite),
@@ -31,10 +31,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS, ClickDetectorArray
-from .fock import mean
-from .heralding import HeraldConfig, herald
-from .sweep import COLUMNS, SweepAxis, _source_for, run_sweep
+from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS
+from .fock import TwinBeamSource
+from .sweep import COLUMNS, SweepAxis, run_sweep
 
 __all__ = ["main", "run"]
 
@@ -287,21 +286,26 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    """Print CAR, nbar, |lambda|^2 and the heralded means for k = 1..3.
+
+    Each mean is ``run_sweep``'s ``mean_corrected`` at mu_h = 0.5, mu_s = 1
+    and the default N and nu; an error row prints its status and exits 1.
+    """
     if args.car is None and not args.nbar > 0:
         raise SpecError("calibration needs nbar > 0")
-    try:
-        car, nbar, source = _source_for(args.car, args.nbar)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-    detector = ClickDetectorArray(efficiency=0.5)
-    rows = [
-        ("car", car),
-        ("nbar", nbar),
-        ("lambda_sq", source.squeezing_magnitude),
-    ]
+    means = []
     for clicks in (1, 2, 3):
-        state = herald(HeraldConfig(source, detector, clicks))
-        rows.append((f"mean_ns_k{clicks}", mean(state.statistics)))
+        # target 0 lies within every cutoff and does not enter the mean
+        table = _sweep_table(("k", "mu_s", "target"), [], clicks=clicks, target=0,
+                             num_detectors=DEFAULT_NUM_DETECTORS, car=args.car,
+                             nbar=args.nbar, mu_h=0.5, mu_s=1.0)
+        if table["status"][0] != "ok":
+            print(table["status"][0], file=sys.stderr)
+            return 1
+        means.append((f"mean_ns_k{clicks}", float(table["mean_corrected"][0])))
+    car, nbar = float(table["car"][0]), float(table["nbar"][0])
+    rows = [("car", car), ("nbar", nbar),
+            ("lambda_sq", TwinBeamSource(nbar).squeezing_magnitude), *means]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {_fmt(value) or 'nan'}")
@@ -327,3 +331,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -53,7 +53,10 @@ class ClickDetectorArray:
     dark_count_prob: float = DEFAULT_DARK_COUNT
 
     def __post_init__(self):
-        if self.num_detectors < 1:
+        n_det = self.num_detectors
+        if isinstance(n_det, bool) or not isinstance(n_det, (int, np.integer)):
+            raise ValueError(f"number of detectors must be an integer, got {n_det!r}")
+        if n_det < 1:
             raise ValueError("need at least one detector")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency!r}")
@@ -72,10 +75,9 @@ def _check_clicks(detector: ClickDetectorArray, clicks: int) -> None:
 
 def povm_weight(detector: ClickDetectorArray, clicks: int, n: int) -> float:
     """Probability of exactly ``clicks`` clicks given n photons on the array."""
-    _check_clicks(detector, clicks)
     if n < 0:
         raise ValueError("photon number must be >= 0")
-    return float(_click_weights(detector, clicks, n)[n])
+    return float(povm_diagonal(detector, clicks, n)[n])
 
 
 def _click_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:

@@ -63,45 +63,37 @@ class TruncationCapError(ValueError):
 class Truncation:
     """Photon-number cutoff policy.
 
-    Either a fixed cutoff ``n_max`` or an adaptive one chosen as the
-    smallest cutoff whose analytic thermal tail, (nbar/(1+nbar))**(n_max+1),
-    falls below ``tail_epsilon``.  Both modes are clamped at ``cap``.
+    ``Truncation(n_max=...)`` is a fixed cutoff.  ``Truncation()`` is
+    adaptive: the smallest cutoff whose analytic thermal tail,
+    (nbar/(1+nbar))**(n_max+1), falls below ``tail_epsilon``, and at most
+    ``cap``, which bounds only the adaptive cutoff.
     """
 
-    mode: str
     n_max: int | None = None
-    tail_epsilon: float | None = None
+    tail_epsilon: float = DEFAULT_TAIL_EPSILON
     cap: int = TRUNCATION_CAP
 
     def __post_init__(self):
         if self.cap < 1:
             raise ValueError("truncation cap must be at least 1")
-        if self.mode == "fixed":
-            if self.n_max is None or self.n_max < 0:
-                raise ValueError("fixed truncation needs n_max >= 0")
-            if self.n_max > self.cap:
-                raise ValueError(f"n_max = {self.n_max} exceeds cap = {self.cap}")
-        elif self.mode == "adaptive":
-            if self.tail_epsilon is None or not 0.0 < self.tail_epsilon < 1.0:
-                raise ValueError("adaptive truncation needs tail_epsilon in (0, 1)")
-        else:
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
+        if self.n_max is not None and self.n_max < 0:
+            raise ValueError("fixed truncation needs n_max >= 0")
+        if not 0.0 < self.tail_epsilon < 1.0:
+            raise ValueError(f"tail_epsilon must lie in (0, 1), got {self.tail_epsilon!r}")
 
     @classmethod
-    def fixed(cls, n_max: int, cap: int | None = None) -> "Truncation":
-        if cap is None:
-            cap = max(TRUNCATION_CAP, n_max)
-        return cls(mode="fixed", n_max=n_max, cap=cap)
+    def fixed(cls, n_max: int) -> "Truncation":
+        return cls(n_max=n_max)
 
     @classmethod
     def adaptive(
         cls, tail_epsilon: float = DEFAULT_TAIL_EPSILON, cap: int = TRUNCATION_CAP
     ) -> "Truncation":
-        return cls(mode="adaptive", tail_epsilon=tail_epsilon, cap=cap)
+        return cls(tail_epsilon=tail_epsilon, cap=cap)
 
     def resolve_n_max(self, source: "TwinBeamSource") -> int:
-        """Concrete cutoff; adaptive mode bounds the source's thermal tail."""
-        if self.mode == "fixed":
+        """Concrete cutoff; the adaptive one bounds the source's thermal tail."""
+        if self.n_max is not None:
             return int(self.n_max)
         nbar = source.mean_photon_number
         if nbar == 0.0:
@@ -124,7 +116,7 @@ class Truncation:
         return needed
 
 
-DEFAULT_TRUNCATION = Truncation.adaptive()
+DEFAULT_TRUNCATION = Truncation()
 
 
 @dataclass(frozen=True)
@@ -157,29 +149,35 @@ def _index_array(size: int) -> np.ndarray:
     return indices
 
 
+def _checked(values, plural: str, singular: str) -> np.ndarray:
+    """``values`` as a finite non-empty 1-d float vector, rounding noise below 0 clipped."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"{plural} must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{plural} must be finite")
+    smallest = float(values.min())
+    if smallest < -_NEGATIVE_TOL:
+        raise ValueError(f"negative {singular} {smallest:.3e}")
+    if smallest < 0.0:
+        values = np.clip(values, 0.0, None)
+    return values
+
+
 class PhotonStatistics:
     """Normalized probability vector over photon numbers 0..n_max."""
 
     __slots__ = ("_probs",)
 
     def __init__(self, probabilities):
-        probs = np.asarray(probabilities, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probabilities must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
-        smallest = float(probs.min())
-        if smallest < -_NEGATIVE_TOL:
-            raise ValueError(f"negative probability {smallest:.3e}")
+        probs = _checked(probabilities, "probabilities", "probability")
         total = float(probs.sum())
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise ValueError(
                 f"probabilities sum to {total!r}; expected 1 within {PROBABILITY_SUM_TOL}"
             )
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        probs.flags.writeable = False
-        self._probs = probs
+        self._probs = probs / total
+        self._probs.flags.writeable = False
 
     @classmethod
     def _trusted(cls, probs: np.ndarray) -> "PhotonStatistics":
@@ -192,16 +190,7 @@ class PhotonStatistics:
     @classmethod
     def from_unnormalized(cls, values) -> "PhotonStatistics":
         """Build statistics from nonnegative weights of any positive total."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("weights must be finite")
-        smallest = float(values.min())
-        if smallest < -_NEGATIVE_TOL:
-            raise ValueError(f"negative weight {smallest:.3e}")
-        if smallest < 0.0:
-            values = np.clip(values, 0.0, None)
+        values = _checked(values, "weights", "weight")
         total = values.sum()
         if total <= 0.0:
             raise ValueError("weights sum to zero; no distribution")
@@ -245,11 +234,8 @@ def thermal_distribution(
     many times.
     """
     n_max = trunc.resolve_n_max(source)
-    nbar = source.mean_photon_number
-    if nbar == 0.0:
-        return PhotonStatistics.fock(0, n_max)
-    ratio = nbar / (1.0 + nbar)
-    weights = ratio ** np.arange(n_max + 1)
+    # at nbar = 0 this is the vacuum vector, since 0.0 ** 0 == 1
+    weights = source.squeezing_magnitude ** np.arange(n_max + 1)
     return PhotonStatistics._trusted(weights / weights.sum())
 
 

@@ -13,6 +13,7 @@ heralding outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,23 +52,11 @@ class HeraldConfig:
         _check_clicks(self.detector, self.clicks)
 
 
-class HeraldedState:
+class HeraldedState(NamedTuple):
     """Lossless heralded signal statistics plus the herald success probability."""
 
-    __slots__ = ("statistics", "success_probability", "config")
-
-    def __init__(
-        self, statistics: PhotonStatistics, success_probability: float, config: HeraldConfig
-    ):
-        self.statistics = statistics
-        self.success_probability = success_probability
-        self.config = config
-
-    def __repr__(self) -> str:
-        return (
-            f"HeraldedState(clicks={self.config.clicks}, "
-            f"success_probability={self.success_probability:.6g})"
-        )
+    statistics: PhotonStatistics
+    success_probability: float
 
 
 def _unnormalized(config: HeraldConfig) -> np.ndarray:
@@ -95,7 +84,7 @@ def herald(config: HeraldConfig) -> HeraldedState:
         )
     # Validated click weights times a validated thermal vector: nonnegative and finite.
     statistics = PhotonStatistics._trusted(unnormalized / total)
-    return HeraldedState(statistics, min(total, 1.0), config)
+    return HeraldedState(statistics, min(total, 1.0))
 
 
 def success_probability(config: HeraldConfig) -> float:

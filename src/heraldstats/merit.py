@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,17 +102,12 @@ def g_factorial(stats: PhotonStatistics, order: int) -> float:
     return factorial_moment(stats, order) / first**order
 
 
-@lru_cache(maxsize=64)
-def _sign_array(size: int) -> np.ndarray:
-    signs = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
-    signs.flags.writeable = False
-    return signs
-
-
 def parity_direct(stats: PhotonStatistics) -> float:
-    """Photon-number parity as the alternating sum of the distribution."""
-    probs = stats.probabilities
-    return float(np.dot(_sign_array(probs.size), probs))
+    """Photon-number parity as the alternating sum of the distribution.
+
+    The signs are ``report``'s parity weights (1 - 2 mu_s)^n at mu_s = 1, exactly +-1.
+    """
+    return float(np.dot(_lossy_weights(1.0, 0, stats.n_max)[1], stats.probabilities))
 
 
 def parity_from_moments(stats: PhotonStatistics, max_order: int) -> float:
@@ -170,9 +164,10 @@ def cross_correlation(
     order_i, order_s = orders
     if order_i < 1 or order_s < 1:
         raise ValueError("cross-correlation orders must be >= 1")
-    if source.mean_photon_number == 0.0:
-        raise ValueError("cross-correlation undefined for zero mean photon number")
     stats = thermal_distribution(source, trunc)
+    first = mean(stats)
+    if first <= 0.0:  # vacuum, or a cutoff of 0
+        raise ValueError("cross-correlation undefined for zero mean photon number")
     probs = stats.probabilities
     n = np.arange(probs.size, dtype=float)
     acc = probs.copy()
@@ -181,7 +176,7 @@ def cross_correlation(
     ff = np.ones_like(probs)
     for j in range(order_s):
         ff *= n - j
-    return float(np.dot(acc, ff)) / mean(stats) ** (order_i + order_s)
+    return float(np.dot(acc, ff)) / first ** (order_i + order_s)
 
 
 def dark_count_ratio(config: HeraldConfig) -> float:
@@ -194,8 +189,7 @@ def dark_count_ratio(config: HeraldConfig) -> float:
     if config.clicks != 1:
         raise ValueError("the dark-count ratio is defined for single-click heralds")
     det = config.detector
-    nbar = config.source.mean_photon_number
-    thermal_ratio = nbar / (1.0 + nbar)  # P_1 / P_0
+    thermal_ratio = config.source.squeezing_magnitude  # P_1 / P_0
     if det.dark_count_prob == 0.0:
         return math.inf
     per_detector = det.dark_count_prob / det.num_detectors

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,10 @@ class TestSweepCommand:
         assert len(rows) == 4
         status = rows[1][COLUMNS.index("status")]
         assert status == "ok"
+        capsys.readouterr()
+        # neither --out nor outputs.path: the same table goes to stdout
+        assert main(["sweep", path]) == 0
+        assert capsys.readouterr().out == raw.decode()
 
     def test_csv_and_json_round_trip_identical(self, tmp_path):
         path = write_spec(tmp_path, basic_spec())
@@ -440,6 +448,28 @@ class TestSweepCommand:
             assert row["g3"] is not None and math.isfinite(row["g3"])
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+class TestModuleEntryPoints:
+    """``python -m heraldstats`` and ``python -m heraldstats.cli`` run the CLI."""
+
+    @pytest.mark.parametrize("module", ["heraldstats", "heraldstats.cli"])
+    def test_report(self, module):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", module, "report", "--car", "15", "--mu-h", "1",
+                   "--mu-s", "1", "--clicks"]
+        done = subprocess.run(command + ["1"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == len(COLUMNS) == 14
+        assert lines[-1].split() == ["status", "ok"]
+        done = subprocess.run(command + ["9"], env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert "--clicks: click count 9 outside 0..4" in done.stderr
+
+
 class TestCalibrateCommand:
     def test_car_three(self, capsys):
         assert main(["calibrate", "--car", "3"]) == 0
@@ -469,6 +499,17 @@ class TestCalibrateCommand:
             if not line.startswith("#")
         )
         assert 1.06 <= float(values["mean_ns_k1"]) <= 1.08
+
+    def test_cutoff_below_click_count(self, capsys):
+        # at nbar 1e-9 the cutoff is 1, below k = 2 and 3; the means still print
+        assert main(["calibrate", "--car", "1e9"]) == 0
+        values = dict(
+            line.split(None, 1)
+            for line in capsys.readouterr().out.strip().splitlines()
+            if not line.startswith("#")
+        )
+        for clicks in (1, 2, 3):
+            assert float(values[f"mean_ns_k{clicks}"]) == pytest.approx(clicks * 1e-6, rel=1e-3)
 
     def test_out_of_domain(self, capsys):
         assert main(["calibrate", "--car", "1"]) == 2

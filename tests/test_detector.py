@@ -209,6 +209,10 @@ class TestClickDetectorArray:
             ClickDetectorArray(efficiency=0.5, num_detectors=0)
         with pytest.raises(ValueError):
             ClickDetectorArray(efficiency=0.5, dark_count_prob=-1e-3)
+        for count in (2.5, 4.0, True):
+            with pytest.raises(ValueError, match=f"must be an integer, got {count!r}"):
+                ClickDetectorArray(efficiency=0.5, num_detectors=count)
+        assert ClickDetectorArray(efficiency=0.5, num_detectors=np.int64(3)).num_detectors == 3
 
     def test_defaults(self):
         det = ClickDetectorArray(efficiency=0.5)

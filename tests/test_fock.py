@@ -152,10 +152,9 @@ class TestTruncation:
             Truncation.adaptive(1.5)
         with pytest.raises(ValueError):
             Truncation.fixed(-1)
-        with pytest.raises(ValueError):
-            Truncation(mode="fixed", n_max=100, cap=10)
-        with pytest.raises(ValueError):
-            Truncation(mode="nonsense")
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="cap must be at least 1"):
+                Truncation(cap=cap)
 
 
 class TestPhotonStatistics:

@@ -100,6 +100,8 @@ class TestParity:
 
     def test_vacuum_series(self):
         assert parity_from_moments(PhotonStatistics.fock(0, 3), 10) == 1.0
+        with pytest.raises(ValueError, match="max_order must be >= 0"):
+            parity_from_moments(PhotonStatistics.fock(0, 3), -1)
 
     def test_thermal_series_diverges(self):
         # thermal factorial moments grow like order!, so the series terms form
@@ -146,6 +148,9 @@ class TestCrossCorrelation:
     def test_vacuum_undefined(self):
         with pytest.raises(ValueError):
             cross_correlation(TwinBeamSource(0.0), (1, 1))
+        # a cutoff of 0 leaves a zero-mean marginal too
+        with pytest.raises(ValueError, match="undefined for zero mean"):
+            cross_correlation(TwinBeamSource(0.5), (1, 1), Truncation.fixed(0))
 
     def test_orders_validated(self):
         with pytest.raises(ValueError):

@@ -256,6 +256,8 @@ class TestFindOptimum:
     def test_direction_min(self):
         table = fake_table([(10.0, 1.0, 1.0, 0.3), (20.0, 1.0, 1.0, 0.1)], fom="fidelity")
         assert table["car"][find_optimum(table, "fidelity", "min")] == 20.0
+        with pytest.raises(ValueError, match="direction must be 'max' or 'min', got 'up'"):
+            find_optimum(table, "fidelity", direction="up")
 
     def test_nan_objective_never_chosen_nor_masked(self):
         # the vacuum herald has g2 = NaN, yet its row is ok
