@@ -84,10 +84,10 @@ def _click_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.
     """Vector of click weights for n = 0..n_max from the occupancy recurrence."""
     n_det = detector.num_detectors
     mu = detector.efficiency
-    # fill[j] is built downward by ratios: no binomial is formed, all values <= 1.
+    # fill[j] is built downward by ratios, in Python floats: no binomial is
+    # formed, all values <= 1.
     dark = -math.expm1(-detector.dark_count_prob / n_det)
-    fill = np.empty(clicks + 1)
-    fill[clicks] = math.exp(-detector.dark_count_prob * (n_det - clicks) / n_det)
+    fill = [0.0] * clicks + [math.exp(-detector.dark_count_prob * (n_det - clicks) / n_det)]
     for j in range(clicks - 1, -1, -1):
         fill[j] = fill[j + 1] * dark * (n_det - j) / (clicks - j)
     # hit_j(n+1) = (1 - mu + mu j/N) hit_j(n) + mu (N-j+1)/N hit_{j-1}(n).  Column 0
@@ -104,22 +104,27 @@ def _click_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.
         dtbtrs(band, hits[:, j : j + 1], "L", "N", "U", 1)
     # Weight and sum the columns entry by entry, not by a matrix-vector product,
     # whose rounding can depend on the vector's length.
-    hits *= fill
-    weights = hits[:, 0]
+    weights = hits[:, 0] * fill[0]
     for j in range(1, clicks + 1):
-        weights = weights + hits[:, j]
+        weights += hits[:, j] * fill[j]
     return weights
 
 
 @_prefix_cache(maxsize=16384)
 def _clipped_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
-    """Validated, read-only weights of one click outcome, cached per (detector, clicks)."""
+    """Validated, read-only weights of one click outcome, cached per (detector, clicks).
+
+    Weights outside [0, 1] by more than rounding (or NaN) raise ValueError;
+    rounding past a bound is clipped in place by ``np.minimum`` and
+    ``np.maximum``, which skip ``np.clip``'s Python-level wrapper.
+    """
     weights = _click_weights(detector, clicks, n_max)
     low = float(weights.min())
     high = float(weights.max())
     if not (low >= -_WEIGHT_TOL and high <= 1.0 + _WEIGHT_TOL):  # NaN fails too
         raise ValueError(f"click weights outside [0, 1]: min {low:.3e}, max {high:.3e}")
-    np.clip(weights, 0.0, 1.0, out=weights)
+    np.minimum(weights, 1.0, out=weights)
+    np.maximum(weights, 0.0, out=weights)
     weights.flags.writeable = False
     return weights
 

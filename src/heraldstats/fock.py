@@ -142,13 +142,6 @@ class TwinBeamSource:
         return nbar / (1.0 + nbar)
 
 
-@lru_cache(maxsize=64)
-def _index_array(size: int) -> np.ndarray:
-    indices = np.arange(size, dtype=float)
-    indices.flags.writeable = False
-    return indices
-
-
 def _checked(values, plural: str, singular: str) -> np.ndarray:
     """``values`` as a finite non-empty 1-d float vector, rounding noise below 0 clipped."""
     values = np.asarray(values, dtype=float)
@@ -236,7 +229,8 @@ def thermal_distribution(
     n_max = trunc.resolve_n_max(source)
     # at nbar = 0 this is the vacuum vector, since 0.0 ** 0 == 1
     weights = source.squeezing_magnitude ** np.arange(n_max + 1)
-    return PhotonStatistics._trusted(weights / weights.sum())
+    # np.add.reduce is ndarray.sum without its Python-level wrapper
+    return PhotonStatistics._trusted(weights / np.add.reduce(weights))
 
 
 def nbar_from_car(car: float) -> TwinBeamSource:
@@ -256,29 +250,28 @@ def car_from_source(source: TwinBeamSource) -> float:
 
 
 def mean(stats: PhotonStatistics) -> float:
-    """First moment sum(n * p_n)."""
-    probs = stats.probabilities
-    return float(np.dot(_index_array(probs.size), probs))
+    """First moment sum(n * p_n), row 0 of the falling-factorial product."""
+    (first,) = _factorial_moments(stats.probabilities, 1, 1)
+    return first
 
 
 def _factorial_moments(probs: np.ndarray, lowest: int, highest: int) -> list[float]:
-    """Factorial moments of orders lowest..highest from one running falling product.
+    """Factorial moments of orders lowest..highest: one product with the cached block.
 
-    Accumulated multiplicatively, never through explicit factorials, so the
-    intermediate products stay within float range for any sane cutoff.
+    Orders up to 3 always use the same three-row block, so the mean, F2 and
+    F3 of one distribution are bit for bit the same whichever of them a
+    caller asks for; higher orders take a taller block.
     """
-    n = _index_array(probs.size)
-    acc = probs.copy()
-    moments = []
-    for j in range(highest):
-        acc *= n - j
-        if j + 1 >= lowest:
-            moments.append(float(acc.sum()))
-    return moments
+    block = _falling_factorials(max(highest, _MOMENT_ROWS), probs.size - 1)
+    return (block @ probs)[lowest - 1 : highest].tolist()
 
 
 def factorial_moment(stats: PhotonStatistics, order: int) -> float:
-    """Unnormalized factorial moment sum(n(n-1)...(n-order+1) * p_n)."""
+    """Unnormalized factorial moment sum(n(n-1)...(n-order+1) * p_n).
+
+    Row ``order - 1`` of the falling-factorial product: orders 1-3 share
+    one cached three-row block with ``mean`` and ``report``.
+    """
     if order < 1:
         raise ValueError("factorial moment order must be >= 1")
     (moment,) = _factorial_moments(stats.probabilities, order, order)
@@ -332,3 +325,29 @@ def _prefix_cache(maxsize: int):
         return cached
 
     return decorate
+
+
+#: Rows of the falling-factorial block that every moment is read from.
+_MOMENT_ROWS = 3
+
+
+@_prefix_cache(maxsize=16)
+def _falling_factorials(rows: int, n_max: int) -> np.ndarray:
+    """Read-only (rows, n_max + 1) block: row r holds n(n-1)...(n-r), n = 0..n_max.
+
+    Row 0 is n itself.  Each row is the one above times n - r, so entry n
+    depends on n alone and a smaller cutoff gets an exact prefix view.  The
+    entries are integers, exact while below 2^53 (order 3 up to n ~ 2e5);
+    an entry past the float range is an error, not an infinity.
+    """
+    n = np.arange(n_max + 1.0)
+    block = np.empty((rows, n_max + 1))
+    block[0] = n
+    with np.errstate(over="ignore"):  # reported below
+        for r in range(1, rows):
+            np.multiply(block[r - 1], n - r, out=block[r])
+            block[r, :r] = 0.0  # the factor n - r made these -0.0
+    if not math.isfinite(block[-1, -1]):
+        raise ValueError(f"factorial moment of order {rows} overflows at n_max = {n_max}")
+    block.flags.writeable = False
+    return block

@@ -74,7 +74,7 @@ def herald(config: HeraldConfig) -> HeraldedState:
     detector seeing vacuum), rather than returning NaNs.
     """
     unnormalized = _unnormalized(config)
-    total = float(unnormalized.sum())
+    total = float(np.add.reduce(unnormalized))  # ndarray.sum without its Python wrapper
     if total <= 0.0:
         raise ImpossibleHeraldError(
             f"herald outcome clicks={config.clicks} has zero probability for "

@@ -21,6 +21,7 @@ from .fock import (
     Truncation,
     TwinBeamSource,
     _factorial_moments,
+    _falling_factorials,
     factorial_moment,
     mean,
     thermal_distribution,
@@ -105,9 +106,12 @@ def g_factorial(stats: PhotonStatistics, order: int) -> float:
 def parity_direct(stats: PhotonStatistics) -> float:
     """Photon-number parity as the alternating sum of the distribution.
 
-    The signs are ``report``'s parity weights (1 - 2 mu_s)^n at mu_s = 1, exactly +-1.
+    At mu_s = 1 the parity weights (1 - 2 mu_s)^n of the cached
+    ``_lossy_weights`` block are exactly +-1.  This is row 1 of that block's
+    product with the distribution, the product ``report`` takes at
+    mu_s = 1, so the two parities are bit for bit equal.
     """
-    return float(np.dot(_lossy_weights(1.0, 0, stats.n_max)[1], stats.probabilities))
+    return (_lossy_weights(1.0, 0, stats.n_max) @ stats.probabilities)[1].item()
 
 
 def parity_from_moments(stats: PhotonStatistics, max_order: int) -> float:
@@ -168,15 +172,9 @@ def cross_correlation(
     first = mean(stats)
     if first <= 0.0:  # vacuum, or a cutoff of 0
         raise ValueError("cross-correlation undefined for zero mean photon number")
-    probs = stats.probabilities
-    n = np.arange(probs.size, dtype=float)
-    acc = probs.copy()
-    for j in range(order_i):
-        acc *= n - j
-    ff = np.ones_like(probs)
-    for j in range(order_s):
-        ff *= n - j
-    return float(np.dot(acc, ff)) / first ** (order_i + order_s)
+    block = _falling_factorials(max(order_i, order_s), stats.n_max)
+    joint = np.dot(block[order_i - 1] * stats.probabilities, block[order_s - 1])
+    return float(joint) / first ** (order_i + order_s)
 
 
 def dark_count_ratio(config: HeraldConfig) -> float:
@@ -192,13 +190,15 @@ def dark_count_ratio(config: HeraldConfig) -> float:
     thermal_ratio = config.source.squeezing_magnitude  # P_1 / P_0
     if det.dark_count_prob == 0.0:
         return math.inf
-    per_detector = det.dark_count_prob / det.num_detectors
-    idle = det.num_detectors - 1
-    numerator = (1.0 - det.efficiency * idle / det.num_detectors) - (
-        1.0 - det.efficiency
-    ) * math.exp(-per_detector)
-    denominator = -math.expm1(-per_detector)
-    return thermal_ratio * numerator / denominator
+    # With d = 1 - exp(-nu/N) per detector, vacuum gives one click with weight
+    # N d (1-d)^(N-1), and one photon with weight (1 - mu) N d (1-d)^(N-1) +
+    # mu (1-d)^(N-1).  Their ratio ((1 - mu) d + mu/N) / d is a sum of positive
+    # terms; the equal form (1 - mu (N-1)/N) - (1 - mu)(1 - d) in the numerator
+    # cancels when d is small.  At mu = 0 the ratio is exactly P_1/P_0.
+    dark = -math.expm1(-det.dark_count_prob / det.num_detectors)
+    eff = det.efficiency
+    numerator = (1.0 - eff) * dark + eff / det.num_detectors
+    return thermal_ratio * (numerator / dark)
 
 
 def report(
@@ -206,21 +206,23 @@ def report(
 ) -> FigureOfMeritReport:
     """Herald, degrade through the signal arm, and evaluate every figure of merit.
 
-    The lossy figures of merit are O(n_max) functionals of the lossless
-    heralded distribution p, so the lossy vector is never built: the
-    fidelity is row ``target`` of the loss matrix dotted with p, the parity
-    is sum_n p_n (1 - 2 mu_s)^n, and the lossy mean is mu_s times the
-    lossless mean.  At mu_s = 0 the signal is vacuum and the values are
-    exact.
+    Two products with cached read-only blocks give every value.  The mean,
+    F2 and F3 of the lossless heralded distribution p are one product with
+    the falling-factorial block (see ``fock.factorial_moment``), so they are
+    bit for bit ``mean`` and ``g_factorial``.  The lossy figures of merit
+    are O(n_max) functionals of p, so the lossy vector is never built: the
+    fidelity and the parity are one product of p with the ``_lossy_weights``
+    block, row ``target`` of the loss matrix and sum_n p_n (1 - 2 mu_s)^n,
+    and the lossy mean is mu_s times the lossless mean.  At mu_s = 0 the
+    signal is vacuum and the values are exact.
     """
     heralded = herald(config)
-    lossless = heralded.statistics
-    probs = lossless.probabilities
-    _check_target(target, lossless.n_max)
-    lossless_mean = mean(lossless)
+    probs = heralded.statistics.probabilities
+    n_max = probs.size - 1
+    _check_target(target, n_max)
+    lossless_mean, f2, f3 = _factorial_moments(probs, 1, 3)
     if lossless_mean > 0.0:
-        # the operations of g_factorial, with one falling product for both orders
-        f2, f3 = _factorial_moments(probs, 2, 3)
+        # the operations of g_factorial
         g2 = f2 / lossless_mean**2
         g3 = f3 / lossless_mean**3
     else:
@@ -230,10 +232,10 @@ def report(
     if mu_s == 0.0:
         fid, parity = float(target == 0), 1.0
     else:
-        row, parity_weights = _lossy_weights(mu_s, target, lossless.n_max)
+        fid, parity = (_lossy_weights(mu_s, target, n_max) @ probs).tolist()
         # p sums to one only to rounding, so a value at its bound can overshoot
-        fid = min(float(np.dot(row, probs)), 1.0)
-        parity = min(max(float(np.dot(parity_weights, probs)), -1.0), 1.0)
+        fid = min(fid, 1.0)
+        parity = min(max(parity, -1.0), 1.0)
     return FigureOfMeritReport(
         fidelity=fid,
         g2=g2,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from heraldstats import (
     nbar_from_car,
     thermal_distribution,
 )
+from heraldstats.fock import _falling_factorials
 
 
 class TestTwinBeamSource:
@@ -214,3 +216,45 @@ class TestMoments:
 
     def test_order_beyond_cutoff_is_zero(self):
         assert factorial_moment(PhotonStatistics.fock(2), 5) == 0.0
+
+    def test_exact_against_fractions(self):
+        # Dyadic probabilities and integer falling factorials: every product
+        # and partial sum is exact in float64, in any summation order.
+        counts = [5, 9, 13, 3, 11, 7, 8, 8]
+        probs = [Fraction(c, 64) for c in counts]
+        stats = PhotonStatistics([float(q) for q in probs])
+        for order in range(1, 7):
+            exact = sum(q * math.perm(n, order) for n, q in enumerate(probs))
+            assert factorial_moment(stats, order) == float(exact)
+        assert mean(stats) == float(sum(q * n for n, q in enumerate(probs)))
+
+    def test_overflowing_order_is_an_error(self):
+        with pytest.raises(ValueError, match="order 120 overflows at n_max = 1000"):
+            factorial_moment(PhotonStatistics.fock(0, 1000), 120)
+
+
+class TestFallingFactorialBlock:
+    def test_entries_are_exact_falling_factorials(self):
+        block = _falling_factorials(6, 30)
+        assert block.shape == (6, 31)
+        for r in range(6):
+            assert block[r].tolist() == [float(math.perm(n, r + 1)) for n in range(31)]
+        assert not np.signbit(block).any()  # no -0.0 below the diagonal
+
+    def test_read_only(self):
+        block = _falling_factorials(3, 20)
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+
+    def test_smaller_cutoff_is_a_cached_prefix(self):
+        _falling_factorials.cache_clear()
+        long = _falling_factorials(3, 50)
+        info = _falling_factorials.cache_info()
+        short = _falling_factorials(3, 10)
+        assert _falling_factorials.cache_info().misses == info.misses
+        assert _falling_factorials.cache_info().hits == info.hits + 1
+        assert np.shares_memory(short, long)
+        assert np.array_equal(short, long[:, :11])
+        # the moments of a distribution at the smaller cutoff compute nothing
+        factorial_moment(PhotonStatistics.fock(2, 10), 3)
+        assert _falling_factorials.cache_info().misses == info.misses

@@ -24,6 +24,7 @@ from heraldstats import (
     thermal_distribution,
 )
 
+from heraldstats.fock import _falling_factorials
 from heraldstats.loss import _lossy_weights
 
 from conftest import config, detector
@@ -192,6 +193,24 @@ class TestDarkCountRatio:
         small = HeraldConfig(TwinBeamSource(nbar), detector(mu_h, nu=1e-6), 1)
         assert dark_count_ratio(cfg) < 1e-3 * dark_count_ratio(small)
 
+    def test_matches_mpmath_at_small_dark_counts(self):
+        # the difference form 1 - mu (N-1)/N - (1 - mu) e^(-nu/N) cancelled
+        # to 8.9e-5 relative at mu_h = 0, nu = 1e-12
+        mp = pytest.importorskip("mpmath").mp
+        nbar, n_det = 0.1, 4
+        with mp.workdps(50):
+            x = mp.mpf(nbar) / (1 + mp.mpf(nbar))
+            for nu in (1e-14, 1e-12, 1e-10, 5e-4, 1.0):
+                keep = mp.exp(-mp.mpf(nu) / n_det)
+                for mu_h in (0.0, 1e-6, 0.5, 1.0):
+                    mu = mp.mpf(mu_h)
+                    ref = x * ((1 - mu * (n_det - 1) / n_det) - (1 - mu) * keep) / (1 - keep)
+                    cfg = HeraldConfig(TwinBeamSource(nbar), detector(mu_h, n_det, nu), 1)
+                    ratio = dark_count_ratio(cfg)
+                    assert abs(ratio / ref - 1) <= 1e-14, (nu, mu_h)
+                    if mu_h == 0.0:
+                        assert ratio == cfg.source.squeezing_magnitude
+
     def test_requires_single_click(self):
         with pytest.raises(ValueError):
             dark_count_ratio(config(15.0, 2, 0.6))
@@ -276,9 +295,17 @@ class TestLossyFunctionals:
         assert rep.mean_lossy == 0.0
         assert math.isnan(rep.mean_loss_corrected)
 
-    @pytest.mark.parametrize("clicks", [0, 1, 3])
-    def test_no_loss_is_bit_identical(self, clicks):
-        cfg = config(15.0, clicks, 0.8)
+    @pytest.mark.parametrize(
+        "clicks,n_det",
+        [
+            pytest.param(0, 4, id="0"),
+            pytest.param(1, 4, id="1"),
+            pytest.param(3, 4, id="3"),
+            pytest.param(3, 8, id="3-N8"),
+        ],
+    )
+    def test_no_loss_is_bit_identical(self, clicks, n_det):
+        cfg = config(15.0, clicks, 0.8, n_det)
         lossless = herald(cfg).statistics
         rep = report(cfg, LossChannel(1.0), 1)
         assert rep.fidelity == lossless.probabilities[1]
@@ -297,14 +324,39 @@ class TestLossyFunctionals:
         with pytest.raises(ValueError, match=r"^target photon number must be >= 0, got -1$"):
             report(cfg, LossChannel(0.7), -1)
 
-    @pytest.mark.parametrize("car,clicks", [(15.0, 0), (15.0, 1), (15.0, 2), (15.0, 3), (2.01, 1)])
-    def test_g2_g3_equal_g_factorial(self, car, clicks):
-        cfg = config(car, clicks, 0.8)
+    @pytest.mark.parametrize(
+        "car,clicks,n_det",
+        [
+            pytest.param(15.0, 0, 4, id="15.0-0"),
+            pytest.param(15.0, 1, 4, id="15.0-1"),
+            pytest.param(15.0, 2, 4, id="15.0-2"),
+            pytest.param(15.0, 3, 4, id="15.0-3"),
+            pytest.param(2.01, 1, 4, id="2.01-1"),
+            pytest.param(15.0, 3, 8, id="15.0-3-N8"),
+        ],
+    )
+    def test_g2_g3_equal_g_factorial(self, car, clicks, n_det):
+        cfg = config(car, clicks, 0.8, n_det)
         lossless = herald(cfg).statistics
         for mu_s in (0.0, 0.3, 0.5, 0.7, 1.0):
             rep = report(cfg, LossChannel(mu_s), clicks)
             assert rep.g2 == g_factorial(lossless, 2)
             assert rep.g3 == g_factorial(lossless, 3)
+
+    def test_prefix_view_of_moment_block_keeps_bit_identity(self):
+        # 8192 after a smaller cutoff computes a longer block; the smaller
+        # cutoff then reads a prefix view of it.
+        _falling_factorials.cache_clear()
+        for n_max in (40, 8192, 40):
+            cfg = HeraldConfig(nbar_from_car(15.0), detector(0.8), 1, Truncation.fixed(n_max))
+            lossless = herald(cfg).statistics
+            for mu_s in (0.7, 1.0):
+                rep = report(cfg, LossChannel(mu_s), 1)
+                assert rep.mean_loss_corrected == mean(lossless)
+                assert rep.g2 == g_factorial(lossless, 2)
+                assert rep.g3 == g_factorial(lossless, 3)
+            assert rep.parity == parity_direct(lossless)
+        assert _falling_factorials.cache_info().misses == 2
 
     def test_weights_are_cached_and_read_only(self):
         weights = _lossy_weights(0.7, 1, 50)
