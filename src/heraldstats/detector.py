@@ -67,6 +67,8 @@ class ClickDetectorArray:
 
 
 def _check_clicks(detector: ClickDetectorArray, clicks: int) -> None:
+    if isinstance(clicks, bool) or not isinstance(clicks, (int, np.integer)):
+        raise ValueError(f"click count must be an integer, got {clicks!r}")
     if not 0 <= clicks <= detector.num_detectors:
         raise ValueError(
             f"click count {clicks} outside 0..{detector.num_detectors}"

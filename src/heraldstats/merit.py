@@ -11,7 +11,7 @@ single-photon-to-vacuum ratio that quantifies dark-count contamination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +58,8 @@ class NonConvergentSeriesError(ArithmeticError):
         )
 
 
-@dataclass(frozen=True)
-class FigureOfMeritReport:
-    """All figures of merit for one parameter point.
+class FigureOfMeritReport(NamedTuple):
+    """All figures of merit for one parameter point, in the sweep table's column order.
 
     g2/g3 are evaluated on the lossless heralded statistics (they are
     loss-invariant for a single mode).  Fidelity, parity and ``mean_lossy``
@@ -78,7 +77,9 @@ class FigureOfMeritReport:
     mean_loss_corrected: float
 
 
-def _check_target(target: int, n_max: int) -> None:
+def _check_target(target: int, n_max: float) -> None:
+    if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
+        raise ValueError(f"target photon number must be an integer, got {target!r}")
     if target < 0:
         raise ValueError(f"target photon number must be >= 0, got {target}")
     if target > n_max:

@@ -5,10 +5,12 @@ sweep returns one table, a dict of arrays keyed by the export ``COLUMNS``:
 float64 coordinates and figures of merit (NaN where a point has none),
 int64 ``k`` and ``target``, and a ``status`` string per row.  Rows come in
 row-major order over the axes as declared, so two runs of the same sweep
-are bit-identical.  Points where the herald is impossible (or any other
-domain failure occurs) stay as error-marked rows so exports stay
-rectangular.  A threshold region is a boolean mask over the rows, and an
-optimum is a row index.
+are bit-identical.  A value that is the same at every point (a fixed
+parameter, the click count, the target) is checked before any point is
+evaluated, and a bad one raises.  A failure that depends on the point (an
+impossible herald, the cutoff cap, a target above the cutoff) becomes an
+error-marked row, so exports stay rectangular.  A threshold region is a
+boolean mask over the rows, and an optimum is a row index.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS, ClickDetectorAr
 from .fock import TwinBeamSource, car_from_source, nbar_from_car
 from .heralding import HeraldConfig
 from .loss import LossChannel
-from .merit import report
+from .merit import _check_target, report
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -59,6 +61,8 @@ class SweepAxis:
             raise ValueError(f"unknown axis scale {self.scale!r}")
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValueError(f"axis min and max must be finite, got {self.min!r}, {self.max!r}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"axis steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("axis needs at least one step")
         if self.steps > 1 and not self.min < self.max:
@@ -80,18 +84,9 @@ class SweepAxis:
         return np.linspace(self.min, self.max, self.steps)
 
 
-#: Figure-of-merit export column -> FigureOfMeritReport attribute, in export order.
-_FOM_COLUMNS = {
-    "fidelity": "fidelity",
-    "g2": "g2",
-    "g3": "g3",
-    "success_prob": "success_probability",
-    "parity": "parity",
-    "mean_lossy": "mean_lossy",
-    "mean_corrected": "mean_loss_corrected",
-}
-
-FOM_NAMES = tuple(_FOM_COLUMNS)
+#: The figure-of-merit export columns, in the field order of ``FigureOfMeritReport``.
+FOM_NAMES = ("fidelity", "g2", "g3", "success_prob", "parity", "mean_lossy", "mean_corrected")
+_NO_FOMS = (math.nan,) * len(FOM_NAMES)
 
 #: The sweep table's columns, in export order.
 COLUMNS = ["car", "nbar", "mu_h", "mu_s", "k", "target", *FOM_NAMES, "status"]
@@ -140,47 +135,46 @@ def run_sweep(
     grid point.  Each of car (or nbar), mu_h and mu_s must appear exactly
     once, either as an axis or as a fixed value; the source is fixed by car
     when given, else by nbar.  The target photon number defaults to the
-    click count, and every point uses ``DEFAULT_TRUNCATION``.  Bad fixed
-    source or detector parameters raise; a point whose herald or report
-    raises ``ValueError`` becomes a row with NaN figures of merit and the
-    status ``error: <reason>``, and any other exception propagates.
+    click count, and every point uses ``DEFAULT_TRUNCATION``.
+
+    Each source, detector array and loss channel is built once, before the
+    loop, so a bad fixed value, click count or target raises ``ValueError``
+    before any point is evaluated.  A point whose report raises
+    ``ValueError`` (an impossible herald, the cutoff cap, a target above the
+    cutoff) becomes a row with NaN figures of merit and the status
+    ``error: <reason>``; any other exception propagates.
     """
     axes = list(axes)
     _validate_assignment(axes, car, nbar, mu_h, mu_s)
     if target is None:
         target = clicks
+    _check_target(target, math.inf)  # report checks the cutoff at each point
 
-    names = [axis.parameter for axis in axes]
-    # Swept values are in range by SweepAxis, so only fixed values can make
-    # the source or detector invalid; check them once, outside the error rows.
-    if "car" not in names:
-        _source_for(car, nbar)
-    ClickDetectorArray(
-        efficiency=1.0 if mu_h is None else float(mu_h),
-        num_detectors=num_detectors,
-        dark_count_prob=dark_count_prob,
-    )
+    grids = {axis.parameter: axis.grid().tolist() for axis in axes}
+    built = {
+        "car": [_source_for(value, nbar) for value in grids.get("car", [car])],
+        "mu_h": [
+            ClickDetectorArray(float(value), num_detectors, dark_count_prob)
+            for value in grids.get("mu_h", [mu_h])
+        ],
+        "mu_s": [LossChannel(float(value)) for value in grids.get("mu_s", [mu_s])],
+    }
+    # The product runs over the axes as declared, then the one-element fixed
+    # values; ``pick`` puts each point back in (source, detector, channel) order.
+    order = list(grids) + [name for name in SWEEP_PARAMETERS if name not in grids]
+    pick = operator.itemgetter(*map(order.index, SWEEP_PARAMETERS))
 
     rows = []
-    for values in itertools.product(*(axis.grid() for axis in axes)):
-        point = dict(zip(names, map(float, values)))
-        car_value, nbar_value, source = _source_for(point.get("car", car), nbar)
-        mu_h_value = float(point.get("mu_h", mu_h))
-        mu_s_value = float(point.get("mu_s", mu_s))
+    for (car_value, nbar_value, source), detector, channel in map(
+        pick, itertools.product(*(built[name] for name in order))
+    ):
+        coordinates = (car_value, nbar_value, detector.efficiency, channel.efficiency, clicks, target)
+        # the click count is the same at every point, so a bad one raises here
+        config = HeraldConfig(source, detector, clicks)
         try:
-            detector = ClickDetectorArray(
-                efficiency=mu_h_value,
-                num_detectors=num_detectors,
-                dark_count_prob=dark_count_prob,
-            )
-            config = HeraldConfig(source, detector, clicks)
-            rep = report(config, LossChannel(mu_s_value), target)
-            foms = [getattr(rep, attr) for attr in _FOM_COLUMNS.values()]
-            status = "ok"
+            rows.append((*coordinates, *report(config, channel, target), "ok"))
         except ValueError as exc:
-            foms = [math.nan] * len(FOM_NAMES)
-            status = f"error: {exc}"
-        rows.append((car_value, nbar_value, mu_h_value, mu_s_value, clicks, target, *foms, status))
+            rows.append((*coordinates, *_NO_FOMS, f"error: {exc}"))
     return {
         name: np.array(column, dtype=_DTYPES.get(name, np.float64))
         for name, column in zip(COLUMNS, zip(*rows))

@@ -80,6 +80,13 @@ class TestPovmWeight:
         with pytest.raises(ValueError):
             povm_diagonal(det, 0, -1)
 
+    def test_click_count_must_be_an_integer(self):
+        det = ClickDetectorArray(efficiency=0.5, num_detectors=4)
+        for clicks in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"must be an integer, got {clicks!r}"):
+                povm_diagonal(det, clicks, 3)
+        np.testing.assert_array_equal(povm_diagonal(det, np.int64(2), 3), povm_diagonal(det, 2, 3))
+
 
 class TestPovmProperties:
     MU_GRID = (0.0, 0.3, 0.6, 1.0)

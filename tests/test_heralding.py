@@ -78,6 +78,12 @@ class TestHerald:
         with pytest.raises(ValueError):
             HeraldConfig(TwinBeamSource(0.5), detector(0.5), 5)
 
+    def test_click_count_must_be_an_integer(self):
+        for clicks in (1.5, 1.0, True):
+            with pytest.raises(ValueError, match=f"^click count must be an integer, got {clicks!r}$"):
+                HeraldConfig(TwinBeamSource(0.5), detector(0.5), clicks)
+        assert HeraldConfig(TwinBeamSource(0.5), detector(0.5), np.int64(1)).clicks == 1
+
 
 class TestHeraldOutcomePartition:
     @pytest.mark.parametrize(

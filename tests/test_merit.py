@@ -324,6 +324,15 @@ class TestLossyFunctionals:
         with pytest.raises(ValueError, match=r"^target photon number must be >= 0, got -1$"):
             report(cfg, LossChannel(0.7), -1)
 
+    def test_target_must_be_an_integer(self):
+        cfg = config(15.0, 1, 0.8)
+        for target in (1.5, 1.0, True):
+            with pytest.raises(
+                ValueError, match=f"^target photon number must be an integer, got {target!r}$"
+            ):
+                report(cfg, LossChannel(0.7), target)
+        assert report(cfg, LossChannel(0.7), np.int64(1)) == report(cfg, LossChannel(0.7), 1)
+
     @pytest.mark.parametrize(
         "car,clicks,n_det",
         [

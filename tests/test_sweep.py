@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,20 +17,13 @@ from heraldstats import (
     herald,
     threshold_region,
 )
+from heraldstats.sweep import SWEEP_PARAMETERS
 
 from conftest import config
-
-#: FigureOfMeritReport attribute of each figure-of-merit column, in export order.
-REPORT_FIELDS = ("fidelity", "g2", "g3", "success_probability", "parity", "mean_lossy",
-                 "mean_loss_corrected")
 
 
 def row_foms(table, i):
     return tuple(table[name][i] for name in FOM_NAMES)
-
-
-def report_foms(rep):
-    return tuple(getattr(rep, field) for field in REPORT_FIELDS)
 
 
 def small_grid(clicks=1, mu_s=1.0, car_steps=40, mu_steps=20):
@@ -67,6 +61,12 @@ class TestSweepAxis:
         with pytest.raises(ValueError, match="finite"):
             SweepAxis("car", 3.0, math.inf, 5, scale="logarithmic")
 
+    def test_steps_must_be_an_integer(self):
+        for steps in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"^axis steps must be an integer, got {steps!r}$"):
+                SweepAxis("car", 3.0, 10.0, steps)
+        assert SweepAxis("car", 3.0, 10.0, np.int64(3)).grid().tolist() == [3.0, 6.5, 10.0]
+
 
 class TestRunSweep:
     def test_degenerate_sweep_reproduces_report(self):
@@ -74,7 +74,7 @@ class TestRunSweep:
         assert list(table) == COLUMNS
         assert all(len(column) == 1 for column in table.values())
         direct = report(config(15.0, 1, 1.0), LossChannel(1.0), 1)
-        assert row_foms(table, 0) == report_foms(direct)
+        assert row_foms(table, 0) == tuple(direct)
         assert table["status"][0] == "ok"
         for name, column in table.items():
             expected = {"k": np.int64, "target": np.int64, "status": object}.get(name, np.float64)
@@ -84,7 +84,7 @@ class TestRunSweep:
         axis = SweepAxis("car", 15.0, 15.0, 1, "logarithmic")
         table = run_sweep([axis], clicks=1, mu_h=1.0, mu_s=1.0)
         direct = report(config(15.0, 1, 1.0), LossChannel(1.0), 1)
-        assert row_foms(table, 0) == report_foms(direct)
+        assert row_foms(table, 0) == tuple(direct)
 
     def test_row_major_order(self):
         axes = [
@@ -99,6 +99,30 @@ class TestRunSweep:
             [grid_car[0], grid_car[0], grid_car[1], grid_car[1], grid_car[2], grid_car[2]]
         )
         assert mus == pytest.approx([0.2, 0.8] * 3)
+
+    @pytest.mark.parametrize(
+        "order",
+        # every order of three axes, and mu_h fixed between two swept axes
+        [*itertools.permutations(SWEEP_PARAMETERS), ("car", "mu_s"), ("mu_s", "car")],
+        ids="-".join,
+    )
+    def test_rows_equal_a_per_point_report_loop(self, order):
+        axes = {
+            "car": SweepAxis("car", 3.0, 300.0, 3, "logarithmic"),
+            "mu_h": SweepAxis("mu_h", 0.0, 1.0, 3),
+            "mu_s": SweepAxis("mu_s", 0.0, 1.0, 2),
+        }
+        fixed = {} if "mu_h" in order else {"mu_h": 0.6}
+        table = run_sweep([axes[name] for name in order], clicks=2, num_detectors=6, **fixed)
+        expected = []
+        for values in itertools.product(*(axes[name].grid() for name in order)):
+            point = {**fixed, **dict(zip(order, map(float, values)))}
+            rep = report(config(point["car"], 2, point["mu_h"], 6), LossChannel(point["mu_s"]), 2)
+            nbar = nbar_from_car(point["car"]).mean_photon_number
+            expected.append((point["car"], nbar, point["mu_h"], point["mu_s"], *rep))
+        got = zip(*(table[name].tolist() for name in ("car", "nbar", "mu_h", "mu_s", *FOM_NAMES)))
+        np.testing.assert_array_equal(np.array(list(got)), np.array(expected))  # NaN == NaN
+        assert table["status"].tolist() == ["ok"] * len(expected)
 
     def test_deterministic(self):
         _, first = small_grid(car_steps=10, mu_steps=5)
@@ -142,16 +166,28 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="efficiency"):
             run_sweep([], clicks=1, car=10.0, mu_h=1.5, mu_s=1.0)
 
-    def test_herald_and_report_errors_become_rows(self):
+    def test_fixed_value_errors_raise_before_any_point(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("heraldstats.sweep.report", lambda *args: calls.append(args))
         axes = [SweepAxis("mu_h", 0.2, 0.8, 2)]
-        too_many_clicks = run_sweep(axes, clicks=5, car=10.0, mu_s=1.0)
-        bad_signal = run_sweep(axes, clicks=1, car=10.0, mu_s=1.5)
-        for table in (too_many_clicks, bad_signal):
-            assert len(table["status"]) == 2
-            assert all(status.startswith("error: ") for status in table["status"])
-            assert table["mu_h"].tolist() == [0.2, 0.8]
-            assert table["car"].tolist() == [10.0, 10.0]
-            assert table["nbar"].tolist() == [0.125, 0.125]
+        for fixed, message in [
+            (dict(clicks=1, mu_s=1.5), r"efficiency must lie in \[0, 1\], got 1.5"),
+            (dict(clicks=5, mu_s=1.0), "click count 5 outside 0..4"),
+            (dict(clicks=1, mu_s=1.0, target=-1), "target photon number must be >= 0, got -1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                run_sweep(axes, car=10.0, **fixed)
+        assert calls == []
+
+    def test_herald_and_report_errors_become_rows(self):
+        # nbar 1e-9 at CAR 1e9 gives the cutoff n_max = 1, below the target of 2
+        axes = [SweepAxis("car", 3.0, 1e9, 5, "logarithmic"), SweepAxis("mu_h", 0.2, 0.8, 2)]
+        table = run_sweep(axes, clicks=2, mu_s=1.0)
+        cutoff = "error: target photon number 2 exceeds the cutoff n_max = 1"
+        assert table["status"].tolist() == ["ok"] * 8 + [cutoff] * 2
+        assert np.isnan([row_foms(table, i) for i in (8, 9)]).all()
+        assert table["car"].tolist() == np.repeat(axes[0].grid(), 2).tolist()
+        assert table["mu_h"].tolist() == [0.2, 0.8] * 5
 
     def test_fault_is_not_an_error_row(self, monkeypatch):
         # only the library's ValueErrors become rows; a fault in the code surfaces
