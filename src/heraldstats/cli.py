@@ -7,15 +7,17 @@ and evaluates through ``run_sweep``; ``report`` and ``calibrate`` run it
 with no axes.  ``report`` and ``sweep`` write its table: CSV (LF line
 endings, '.' decimals) or JSON, with numbers serialized to 12 significant
 digits so downstream tolerances are never limited by the serialization.
-Each CSV row is rendered cell by cell (non-finite cells empty) and written
-by ``csv.writer``, which quotes the status where needed.
+The table is written column by column: each float column is formatted in
+one pass (non-finite cells empty in CSV, null in JSON), ``csv.writer``
+quotes each distinct status once, and a CSV row is its cells joined by
+commas.
 
-Outside input is checked once, here: ``_SPEC_SCHEMA`` declares every spec
-section, its keys and each key's type (numbers must be finite),
-``_sweep_table`` names the flag or key of a click count, fixed ``mu_s`` or
-target out of range and makes any fixed value ``run_sweep`` rejects a
-usage error, and an output destination is checked before any point is
-evaluated.  The library does not check again what it derives from these.
+Outside input is checked where it enters: ``_SPEC_SCHEMA`` declares every
+spec section, its keys and each key's type (numbers must be finite), and
+an output destination is checked before any point is evaluated.  Ranges
+are checked once, by the library: ``run_sweep`` rejects a bad fixed value
+before any point, and ``_sweep_table`` makes that a usage error prefixed
+with the flag or spec key it concerns.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import io
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -48,32 +51,52 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _json_number(value: float):
-    if not math.isfinite(value):
-        return None
-    return float(f"{value:.12g}")
+def _csv_fields(texts: list[str]) -> list[str]:
+    """Each text as ``csv.writer`` writes it inside a row, quoted where needed.
+
+    Every distinct text is written once, after an empty first field: a row
+    of one empty field is quoted whole, a field inside a row is not.
+    """
+    fields = {}
+    for text in set(texts):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(("", text))
+        fields[text] = buffer.getvalue()[1:-1]
+    return list(map(fields.__getitem__, texts))
 
 
-def _rows(table: dict[str, np.ndarray]):
-    """The table's rows as tuples of Python cells, in COLUMNS order."""
-    return zip(*(table[name].tolist() for name in COLUMNS))
+def _columns(table: dict[str, np.ndarray], fmt: str) -> list[list]:
+    """The table's columns, in COLUMNS order, as lists of cells for ``fmt``.
 
-
-def _render(row, number) -> list:
-    """The row's cells with each float cell rendered by ``number``."""
-    return [number(cell) if isinstance(cell, float) else cell for cell in row]
+    ``fmt`` is "csv", "json" or "text".  A float cell is its value to 12
+    significant digits (a float in JSON, else text); a non-finite one is
+    empty in CSV, null in JSON and "nan" in text.  ``k`` and ``target``
+    stay ints and ``status`` its text, except that every CSV cell is text
+    with the status quoted by ``csv.writer``.
+    """
+    blank = {"csv": "", "json": None, "text": "nan"}[fmt]
+    columns = []
+    for name in COLUMNS:
+        values = table[name]
+        cells = values.tolist()
+        if values.dtype == np.float64:
+            cells = list(map(float.__format__, cells, repeat(".12g")))
+            if fmt == "json":
+                cells = list(map(float, cells))
+            for row in np.flatnonzero(~np.isfinite(values)).tolist():
+                cells[row] = blank
+        elif fmt == "csv":
+            cells = _csv_fields(cells) if name == "status" else list(map(str, cells))
+        columns.append(cells)
+    return columns
 
 
 def _write_table(table: dict[str, np.ndarray], fmt: str, out: str | None) -> None:
+    columns = _columns(table, fmt)
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        writer.writerows(_render(row, _fmt) for row in _rows(table))
-        text = buffer.getvalue()
+        text = "\n".join([",".join(COLUMNS), *map(",".join, zip(*columns))]) + "\n"
     else:
-        rows = [dict(zip(COLUMNS, _render(row, _json_number))) for row in _rows(table)]
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps([dict(zip(COLUMNS, row)) for row in zip(*columns)], indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
@@ -140,23 +163,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_table(names: tuple[str, str, str], axes: list[SweepAxis], *, clicks: int,
-                 num_detectors: int, mu_s: float | None, target: int | None,
-                 **fixed) -> dict[str, np.ndarray]:
-    """``run_sweep``'s table; ``names`` name the click count, mu_s and target in errors."""
-    clicks_name, mu_s_name, target_name = names
-    if target is not None and target < 0:
-        raise SpecError(f"{target_name} must be >= 0")
-    # N < 1 is the detector's own error, raised by run_sweep
-    if num_detectors >= 1 and not 0 <= clicks <= num_detectors:
-        raise SpecError(f"{clicks_name}: click count {clicks} outside 0..{num_detectors}")
-    if mu_s is not None and not 0.0 <= mu_s <= 1.0:
-        raise SpecError(f"{mu_s_name}: efficiency must lie in [0, 1], got {mu_s!r}")
+#: The flag or spec key of each ``run_sweep`` keyword its errors name in ``exc.parameter``.
+_REPORT_FLAGS = {"clicks": "--clicks", "target": "--target", "mu_h": "--mu-h", "mu_s": "--mu-s"}
+_SPEC_KEYS = {"clicks": "herald.k", "target": "target.m", "mu_h": "detector.mu_h",
+              "mu_s": "signal.mu_s"}
+
+
+def _sweep_table(names: dict[str, str], axes: list[SweepAxis], **fixed) -> dict[str, np.ndarray]:
+    """``run_sweep``'s table; any ValueError it raises is a usage error.
+
+    The message is prefixed with the flag or key that ``names`` gives for
+    the keyword the error concerns, as in ``--clicks: click count 5 ...``.
+    """
     try:
-        return run_sweep(axes, clicks=clicks, num_detectors=num_detectors, mu_s=mu_s,
-                         target=target, **fixed)
+        return run_sweep(axes, **fixed)
     except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+        name = names.get(getattr(exc, "parameter", None))
+        raise SpecError(f"{name}: {exc}" if name else str(exc)) from exc
 
 
 def cmd_report(args) -> int:
@@ -164,7 +187,7 @@ def cmd_report(args) -> int:
         raise SpecError("--format needs --out")
     _check_destination(args.out)
     table = _sweep_table(
-        ("--clicks", "--mu-s", "--target"),
+        _REPORT_FLAGS,
         [],
         clicks=args.clicks,
         target=args.target,
@@ -180,8 +203,7 @@ def cmd_report(args) -> int:
         print(status, file=sys.stderr)
         return 1
     width = max(len(name) for name in COLUMNS)
-    (row,) = _rows(table)
-    for name, text in zip(COLUMNS, _render(row, lambda value: _fmt(value) or "nan")):
+    for name, (text,) in zip(COLUMNS, _columns(table, "text")):
         print(f"{name:<{width}}  {text}")
     if args.out is not None:
         _write_table(table, args.format or "csv", args.out)
@@ -270,7 +292,7 @@ def cmd_sweep(args) -> int:
     out = args.out if args.out is not None else outputs.get("path")
     _check_destination(out)
     table = _sweep_table(
-        ("herald.k", "signal.mu_s", "target.m"),
+        _SPEC_KEYS,
         axes,
         clicks=herald_section["k"],
         target=target_section.get("m"),
@@ -296,7 +318,7 @@ def cmd_calibrate(args) -> int:
     means = []
     for clicks in (1, 2, 3):
         # target 0 lies within every cutoff and does not enter the mean
-        table = _sweep_table(("k", "mu_s", "target"), [], clicks=clicks, target=0,
+        table = _sweep_table({}, [], clicks=clicks, target=0,
                              num_detectors=DEFAULT_NUM_DETECTORS, car=args.car,
                              nbar=args.nbar, mu_h=0.5, mu_s=1.0)
         if table["status"][0] != "ok":

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .fock import _prefix_cache
+from .fock import _is_integer, _prefix_cache
 
 __all__ = [
     "ClickDetectorArray",
@@ -54,7 +54,7 @@ class ClickDetectorArray:
 
     def __post_init__(self):
         n_det = self.num_detectors
-        if isinstance(n_det, bool) or not isinstance(n_det, (int, np.integer)):
+        if not _is_integer(n_det):
             raise ValueError(f"number of detectors must be an integer, got {n_det!r}")
         if n_det < 1:
             raise ValueError("need at least one detector")
@@ -67,7 +67,7 @@ class ClickDetectorArray:
 
 
 def _check_clicks(detector: ClickDetectorArray, clicks: int) -> None:
-    if isinstance(clicks, bool) or not isinstance(clicks, (int, np.integer)):
+    if not _is_integer(clicks):
         raise ValueError(f"click count must be an integer, got {clicks!r}")
     if not 0 <= clicks <= detector.num_detectors:
         raise ValueError(
@@ -77,6 +77,8 @@ def _check_clicks(detector: ClickDetectorArray, clicks: int) -> None:
 
 def povm_weight(detector: ClickDetectorArray, clicks: int, n: int) -> float:
     """Probability of exactly ``clicks`` clicks given n photons on the array."""
+    if not _is_integer(n):
+        raise ValueError(f"photon number must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("photon number must be >= 0")
     return float(povm_diagonal(detector, clicks, n)[n])
@@ -134,6 +136,8 @@ def _clipped_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> n
 def povm_diagonal(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
     """Read-only click-outcome weights w_n(clicks) for n = 0..n_max."""
     _check_clicks(detector, clicks)
+    if not _is_integer(n_max):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return _clipped_weights(detector, clicks, n_max)

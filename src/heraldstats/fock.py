@@ -45,6 +45,11 @@ PROBABILITY_SUM_TOL = 1e-10
 _NEGATIVE_TOL = 1e-12
 
 
+def _is_integer(value) -> bool:
+    """True for an int or numpy integer, False for a bool: the type of every count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class TruncationCapError(ValueError):
     """Adaptive tail bound cannot be met below the configured cap."""
 
@@ -74,10 +79,15 @@ class Truncation:
     cap: int = TRUNCATION_CAP
 
     def __post_init__(self):
+        if not _is_integer(self.cap):
+            raise ValueError(f"truncation cap must be an integer, got {self.cap!r}")
         if self.cap < 1:
             raise ValueError("truncation cap must be at least 1")
-        if self.n_max is not None and self.n_max < 0:
-            raise ValueError("fixed truncation needs n_max >= 0")
+        if self.n_max is not None:
+            if not _is_integer(self.n_max):
+                raise ValueError(f"fixed truncation n_max must be an integer, got {self.n_max!r}")
+            if self.n_max < 0:
+                raise ValueError("fixed truncation needs n_max >= 0")
         if not 0.0 < self.tail_epsilon < 1.0:
             raise ValueError(f"tail_epsilon must lie in (0, 1), got {self.tail_epsilon!r}")
 

@@ -22,6 +22,7 @@ from .fock import (
     TwinBeamSource,
     _factorial_moments,
     _falling_factorials,
+    _is_integer,
     factorial_moment,
     mean,
     thermal_distribution,
@@ -78,7 +79,7 @@ class FigureOfMeritReport(NamedTuple):
 
 
 def _check_target(target: int, n_max: float) -> None:
-    if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
+    if not _is_integer(target):
         raise ValueError(f"target photon number must be an integer, got {target!r}")
     if target < 0:
         raise ValueError(f"target photon number must be >= 0, got {target}")

@@ -18,13 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS, ClickDetectorArray
-from .fock import TwinBeamSource, car_from_source, nbar_from_car
+from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS, ClickDetectorArray, _check_clicks
+from .fock import TwinBeamSource, _is_integer, car_from_source, nbar_from_car
 from .heralding import HeraldConfig
 from .loss import LossChannel
 from .merit import _check_target, report
@@ -61,7 +62,7 @@ class SweepAxis:
             raise ValueError(f"unknown axis scale {self.scale!r}")
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValueError(f"axis min and max must be finite, got {self.min!r}, {self.max!r}")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+        if not _is_integer(self.steps):
             raise ValueError(f"axis steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("axis needs at least one step")
@@ -108,6 +109,16 @@ def _validate_assignment(axes, car, nbar, mu_h, mu_s):
         raise ValueError("mu_s must appear exactly once, as axis or fixed value")
 
 
+@contextmanager
+def _concerning(parameter: str):
+    """Tag a ValueError raised in the block with the keyword it concerns."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.parameter = parameter
+        raise
+
+
 def _source_for(car: float | None, nbar: float | None) -> tuple[float, float, TwinBeamSource]:
     if car is not None:
         source = nbar_from_car(car)
@@ -139,7 +150,10 @@ def run_sweep(
 
     Each source, detector array and loss channel is built once, before the
     loop, so a bad fixed value, click count or target raises ``ValueError``
-    before any point is evaluated.  A point whose report raises
+    before any point is evaluated.  Where that error concerns the click
+    count, the target, ``mu_h`` or ``mu_s``, whose messages do not name the
+    keyword, ``exc.parameter`` does ("clicks", "target", "mu_h", "mu_s").
+    A point whose report raises
     ``ValueError`` (an impossible herald, the cutoff cap, a target above the
     cutoff) becomes a row with NaN figures of merit and the status
     ``error: <reason>``; any other exception propagates.
@@ -148,17 +162,22 @@ def run_sweep(
     _validate_assignment(axes, car, nbar, mu_h, mu_s)
     if target is None:
         target = clicks
-    _check_target(target, math.inf)  # report checks the cutoff at each point
+    with _concerning("target"):
+        _check_target(target, math.inf)  # report checks the cutoff at each point
+    # N and nu are checked here, at unit efficiency, so a detector error below concerns mu_h
+    array = ClickDetectorArray(1.0, num_detectors, dark_count_prob)
+    with _concerning("clicks"):
+        _check_clicks(array, clicks)
 
     grids = {axis.parameter: axis.grid().tolist() for axis in axes}
-    built = {
-        "car": [_source_for(value, nbar) for value in grids.get("car", [car])],
-        "mu_h": [
+    built = {"car": [_source_for(value, nbar) for value in grids.get("car", [car])]}
+    with _concerning("mu_h"):
+        built["mu_h"] = [
             ClickDetectorArray(float(value), num_detectors, dark_count_prob)
             for value in grids.get("mu_h", [mu_h])
-        ],
-        "mu_s": [LossChannel(float(value)) for value in grids.get("mu_s", [mu_s])],
-    }
+        ]
+    with _concerning("mu_s"):
+        built["mu_s"] = [LossChannel(float(value)) for value in grids.get("mu_s", [mu_s])]
     # The product runs over the axes as declared, then the one-element fixed
     # values; ``pick`` puts each point back in (source, detector, channel) order.
     order = list(grids) + [name for name in SWEEP_PARAMETERS if name not in grids]
@@ -169,7 +188,6 @@ def run_sweep(
         pick, itertools.product(*(built[name] for name in order))
     ):
         coordinates = (car_value, nbar_value, detector.efficiency, channel.efficiency, clicks, target)
-        # the click count is the same at every point, so a bad one raises here
         config = HeraldConfig(source, detector, clicks)
         try:
             rows.append((*coordinates, *report(config, channel, target), "ok"))

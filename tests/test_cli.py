@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -6,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from heraldstats import COLUMNS, LossChannel, report
-from heraldstats.cli import main
+from heraldstats import COLUMNS, LossChannel, SweepAxis, report, run_sweep
+from heraldstats.cli import _write_table, main
 
 from conftest import config
 
@@ -106,7 +108,7 @@ class TestReportCommand:
         ])
         assert code == 2
         captured = capsys.readouterr()
-        assert "error: --target must be >= 0" in captured.err
+        assert "error: --target: target photon number must be >= 0, got -1" in captured.err
         assert captured.out == ""
 
     def test_truncation_flag_conflict(self, tmp_path, capsys):
@@ -146,7 +148,7 @@ class TestReportCommand:
         [
             ("--clicks", "5", "error: --clicks: click count 5 outside 0..4"),
             ("--mu-s", "1.5", "error: --mu-s: efficiency must lie in [0, 1], got 1.5"),
-            ("--mu-h", "1.5", "error: efficiency must lie in [0, 1], got 1.5"),
+            ("--mu-h", "1.5", "error: --mu-h: efficiency must lie in [0, 1], got 1.5"),
             ("--detectors", "0", "error: need at least one detector"),
             ("--nu", "-1", "error: dark count parameter must be finite and >= 0, got -1.0"),
             ("--car", "2", "error: CAR"),
@@ -282,7 +284,7 @@ class TestSweepCommand:
         out = tmp_path / "out.csv"
         spec = basic_spec(target={"m": -1}, outputs={"path": str(out)})
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
-        assert "error: target.m must be >= 0" in capsys.readouterr().err
+        assert "error: target.m: target photon number must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -298,6 +300,14 @@ class TestSweepCommand:
         assert captured.err.startswith(f"error: {key}: ")
         assert captured.out == ""
         assert not out.exists()
+
+    def test_out_of_range_fixed_mu_h_rejected(self, tmp_path, capsys):
+        spec = basic_spec(axes=[])
+        spec["detector"]["mu_h"] = 1.5
+        assert main(["sweep", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: detector.mu_h: efficiency must lie in [0, 1], got 1.5\n"
+        assert captured.out == ""
 
     def test_non_integer_clicks_rejected(self, tmp_path):
         spec = basic_spec(herald={"k": 1.5})
@@ -650,3 +660,79 @@ class TestGoldenExport:
         assert main(GOLDEN_REPORT_ARGS + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == GOLDEN_REPORT_TEXT
         assert out.read_bytes() == GOLDEN_REPORT_CSV.encode()
+
+
+def rows(table):
+    return zip(*(table[name].tolist() for name in COLUMNS))
+
+
+def reference_csv(table):
+    """The row-by-row writer: csv.writer over rows of rendered cells."""
+    def cell(value):
+        if isinstance(value, float):
+            return f"{value:.12g}" if math.isfinite(value) else ""
+        return value
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    writer.writerows([cell(value) for value in row] for row in rows(table))
+    return buffer.getvalue()
+
+
+def reference_json(table):
+    """The row-by-row writer: json.dumps of one dict of rendered cells per row."""
+    def cell(value):
+        if isinstance(value, float):
+            return float(f"{value:.12g}") if math.isfinite(value) else None
+        return value
+
+    return json.dumps([dict(zip(COLUMNS, map(cell, row))) for row in rows(table)], indent=2) + "\n"
+
+
+class TestTableWriters:
+    """The columnar writer writes the row-by-row reference's bytes."""
+
+    @staticmethod
+    def assert_matches_reference(table, tmp_path):
+        for fmt, reference in (("csv", reference_csv), ("json", reference_json)):
+            out = tmp_path / f"table.{fmt}"
+            _write_table(table, fmt, str(out))
+            assert out.read_bytes() == reference(table).encode(), fmt
+
+    def test_drawn_tables(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1]
+        floats = st.sampled_from(special) | st.floats(allow_nan=True, allow_infinity=True)
+        errors = st.text(alphabet=['a', ' ', ',', '"', '\r', '\n', '0', '.', 'é'], max_size=12)
+        statuses = st.just("ok") | errors.map(lambda text: f"error: {text}")
+
+        @st.composite
+        def tables(draw):
+            n = draw(st.integers(0, 6))
+            table = {}
+            for name in COLUMNS:
+                if name == "status":
+                    table[name] = np.array(draw(st.lists(statuses, min_size=n, max_size=n)),
+                                           dtype=object)
+                elif name in ("k", "target"):
+                    cells = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n))
+                    table[name] = np.array(cells, dtype=np.int64)
+                else:
+                    cells = draw(st.lists(floats, min_size=n, max_size=n))
+                    table[name] = np.array(cells, dtype=np.float64)
+            return table
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(tables())
+        def check(table):
+            self.assert_matches_reference(table, tmp_path)
+
+        check()
+
+    def test_landscape_table(self, tmp_path):
+        axes = [SweepAxis("car", 2.5, 500.0, 100, "logarithmic"), SweepAxis("mu_h", 0.01, 1.0, 100)]
+        table = run_sweep(axes, clicks=1, mu_s=0.7)
+        assert len(table["status"]) == 10_000
+        self.assert_matches_reference(table, tmp_path)

@@ -87,6 +87,20 @@ class TestPovmWeight:
                 povm_diagonal(det, clicks, 3)
         np.testing.assert_array_equal(povm_diagonal(det, np.int64(2), 3), povm_diagonal(det, 2, 3))
 
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, True])
+    def test_cutoff_must_be_an_integer(self, n_max):
+        det = ClickDetectorArray(efficiency=0.5, num_detectors=4)
+        with pytest.raises(ValueError, match=f"^n_max must be an integer, got {n_max!r}$"):
+            povm_diagonal(det, 1, n_max)
+        np.testing.assert_array_equal(povm_diagonal(det, 1, np.int64(3)), povm_diagonal(det, 1, 3))
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True])
+    def test_photon_number_must_be_an_integer(self, n):
+        det = ClickDetectorArray(efficiency=0.5, num_detectors=4)
+        with pytest.raises(ValueError, match=f"^photon number must be an integer, got {n!r}$"):
+            povm_weight(det, 1, n)
+        assert povm_weight(det, 1, np.int64(2)) == povm_weight(det, 1, 2)
+
 
 class TestPovmProperties:
     MU_GRID = (0.0, 0.3, 0.6, 1.0)

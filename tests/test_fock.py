@@ -158,6 +158,15 @@ class TestTruncation:
             with pytest.raises(ValueError, match="cap must be at least 1"):
                 Truncation(cap=cap)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_max": 2.5}, {"n_max": 2.0}, {"n_max": True}, {"cap": 64.0}, {"cap": True}]
+    )
+    def test_non_integral_cutoff_rejected(self, kwargs):
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}$"):
+            Truncation(**kwargs)
+        assert getattr(Truncation(**{name: np.int64(3)}), name) == 3
+
 
 class TestPhotonStatistics:
     def test_rejects_negative(self):
