@@ -45,9 +45,10 @@ PROBABILITY_SUM_TOL = 1e-10
 _NEGATIVE_TOL = 1e-12
 
 
-def _is_integer(value) -> bool:
-    """True for an int or numpy integer, False for a bool: the type of every count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_integer(value, what: str) -> None:
+    """Reject anything but an int or numpy integer (a bool too): the type of every count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class TruncationCapError(ValueError):
@@ -79,13 +80,11 @@ class Truncation:
     cap: int = TRUNCATION_CAP
 
     def __post_init__(self):
-        if not _is_integer(self.cap):
-            raise ValueError(f"truncation cap must be an integer, got {self.cap!r}")
+        _check_integer(self.cap, "truncation cap")
         if self.cap < 1:
             raise ValueError("truncation cap must be at least 1")
         if self.n_max is not None:
-            if not _is_integer(self.n_max):
-                raise ValueError(f"fixed truncation n_max must be an integer, got {self.n_max!r}")
+            _check_integer(self.n_max, "fixed truncation n_max")
             if self.n_max < 0:
                 raise ValueError("fixed truncation needs n_max >= 0")
         if not 0.0 < self.tail_epsilon < 1.0:
@@ -202,10 +201,12 @@ class PhotonStatistics:
     @classmethod
     def fock(cls, photon_number: int, n_max: int | None = None) -> "PhotonStatistics":
         """Point mass on |photon_number>, padded out to n_max."""
+        _check_integer(photon_number, "photon number")
         if photon_number < 0:
             raise ValueError("photon number must be >= 0")
         if n_max is None:
             n_max = photon_number
+        _check_integer(n_max, "n_max")
         if n_max < photon_number:
             raise ValueError("n_max must be >= photon_number")
         probs = np.zeros(n_max + 1)
@@ -282,6 +283,7 @@ def factorial_moment(stats: PhotonStatistics, order: int) -> float:
     Row ``order - 1`` of the falling-factorial product: orders 1-3 share
     one cached three-row block with ``mean`` and ``report``.
     """
+    _check_integer(order, "factorial moment order")
     if order < 1:
         raise ValueError("factorial moment order must be >= 1")
     (moment,) = _factorial_moments(stats.probabilities, order, order)

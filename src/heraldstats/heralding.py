@@ -12,12 +12,11 @@ heralding outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .detector import ClickDetectorArray, _check_clicks, povm_diagonal
+from .detector import ClickDetectorArray, povm_diagonal
 from .fock import (
     DEFAULT_TRUNCATION,
     PhotonStatistics,
@@ -39,17 +38,17 @@ class ImpossibleHeraldError(ValueError):
     """The requested click outcome has zero probability; no state to normalize."""
 
 
-@dataclass(frozen=True)
-class HeraldConfig:
-    """One heralding arrangement: source, detector array, click count, cutoff."""
+class HeraldConfig(NamedTuple):
+    """One heralding arrangement: source, detector array, click count, cutoff.
+
+    A plain tuple, checked where it is used: ``povm_diagonal`` rejects a bad
+    click count for ``herald``, ``success_probability`` and ``merit.report``.
+    """
 
     source: TwinBeamSource
     detector: ClickDetectorArray
     clicks: int
     trunc: Truncation = DEFAULT_TRUNCATION
-
-    def __post_init__(self):
-        _check_clicks(self.detector, self.clicks)
 
 
 class HeraldedState(NamedTuple):
@@ -59,21 +58,19 @@ class HeraldedState(NamedTuple):
     success_probability: float
 
 
-def _unnormalized(config: HeraldConfig) -> np.ndarray:
-    # The cutoff authority is the source distribution; the click weights are
-    # evaluated pointwise to the same n_max.
-    thermal = thermal_distribution(config.source, config.trunc)
-    return povm_diagonal(config.detector, config.clicks, thermal.n_max) * thermal.probabilities
-
-
 def herald(config: HeraldConfig) -> HeraldedState:
     """Heralded signal statistics for a k-click outcome.
 
     Raises :class:`ImpossibleHeraldError` when the outcome has zero
     probability (for example a click demanded from a dark-count-free
-    detector seeing vacuum), rather than returning NaNs.
+    detector seeing vacuum), rather than returning NaNs, and ``ValueError``
+    for a click count that ``povm_diagonal`` rejects.
     """
-    unnormalized = _unnormalized(config)
+    # The cutoff authority is the source distribution; the click weights are
+    # evaluated pointwise to the same n_max.
+    thermal = thermal_distribution(config.source, config.trunc)
+    weights = povm_diagonal(config.detector, config.clicks, thermal.n_max)
+    unnormalized = weights * thermal.probabilities
     total = float(np.add.reduce(unnormalized))  # ndarray.sum without its Python wrapper
     if total <= 0.0:
         raise ImpossibleHeraldError(
@@ -88,11 +85,12 @@ def herald(config: HeraldConfig) -> HeraldedState:
 
 
 def success_probability(config: HeraldConfig) -> float:
-    """Per-pulse probability of the heralding outcome.
+    """Per-pulse probability of the heralding outcome, 0 for an impossible herald.
 
-    Cheap standalone version of :func:`herald` that skips normalization and
-    returns 0 for impossible heralds.  Structurally independent of the
-    signal-arm efficiency: no such parameter exists here.
+    The ``success_probability`` field of :func:`herald`.  Structurally
+    independent of the signal-arm efficiency: no such parameter exists here.
     """
-    total = float(_unnormalized(config).sum())
-    return min(max(total, 0.0), 1.0)
+    try:
+        return herald(config).success_probability
+    except ImpossibleHeraldError:
+        return 0.0

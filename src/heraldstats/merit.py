@@ -20,9 +20,9 @@ from .fock import (
     PhotonStatistics,
     Truncation,
     TwinBeamSource,
+    _check_integer,
     _factorial_moments,
     _falling_factorials,
-    _is_integer,
     factorial_moment,
     mean,
     thermal_distribution,
@@ -79,8 +79,7 @@ class FigureOfMeritReport(NamedTuple):
 
 
 def _check_target(target: int, n_max: float) -> None:
-    if not _is_integer(target):
-        raise ValueError(f"target photon number must be an integer, got {target!r}")
+    _check_integer(target, "target photon number")
     if target < 0:
         raise ValueError(f"target photon number must be >= 0, got {target}")
     if target > n_max:
@@ -97,6 +96,7 @@ def fidelity(lossy_stats: PhotonStatistics, target: int) -> float:
 
 def g_factorial(stats: PhotonStatistics, order: int) -> float:
     """Normalized factorial moment g^(order) = <n!/(n-order)!> / <n>^order."""
+    _check_integer(order, "factorial moment order")
     if order < 2:
         raise ValueError("normalized factorial moments start at order 2")
     first = mean(stats)
@@ -125,6 +125,7 @@ def parity_from_moments(stats: PhotonStatistics, max_order: int) -> float:
     a sustained failure to decrease raises :class:`NonConvergentSeriesError`
     with the partial sums gathered so far.
     """
+    _check_integer(max_order, "max_order")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     probs = stats.probabilities
@@ -168,6 +169,8 @@ def cross_correlation(
     marginal.  Orders (1, 1) give the CAR.
     """
     order_i, order_s = orders
+    _check_integer(order_i, "cross-correlation order")
+    _check_integer(order_s, "cross-correlation order")
     if order_i < 1 or order_s < 1:
         raise ValueError("cross-correlation orders must be >= 1")
     stats = thermal_distribution(source, trunc)
@@ -186,6 +189,7 @@ def dark_count_ratio(config: HeraldConfig) -> float:
     +inf) for a dark-count-free detector, where the herald leaves no vacuum
     at all.
     """
+    _check_integer(config.clicks, "click count")
     if config.clicks != 1:
         raise ValueError("the dark-count ratio is defined for single-click heralds")
     det = config.detector

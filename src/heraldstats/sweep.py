@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS, ClickDetectorArray, _check_clicks
-from .fock import TwinBeamSource, _is_integer, car_from_source, nbar_from_car
+from .fock import TwinBeamSource, _check_integer, car_from_source, nbar_from_car
 from .heralding import HeraldConfig
 from .loss import LossChannel
 from .merit import _check_target, report
@@ -62,8 +62,7 @@ class SweepAxis:
             raise ValueError(f"unknown axis scale {self.scale!r}")
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValueError(f"axis min and max must be finite, got {self.min!r}, {self.max!r}")
-        if not _is_integer(self.steps):
-            raise ValueError(f"axis steps must be an integer, got {self.steps!r}")
+        _check_integer(self.steps, "axis steps")
         if self.steps < 1:
             raise ValueError("axis needs at least one step")
         if self.steps > 1 and not self.min < self.max:

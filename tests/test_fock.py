@@ -196,6 +196,20 @@ class TestPhotonStatistics:
         with pytest.raises(ValueError):
             PhotonStatistics.fock(3, 2)
 
+    @pytest.mark.parametrize(
+        "args,what,value",
+        [
+            ((True,), "photon number", True),
+            ((2.5,), "photon number", 2.5),
+            ((2, 3.0), "n_max", 3.0),
+            ((1, True), "n_max", True),
+        ],
+    )
+    def test_fock_counts_must_be_integers(self, args, what, value):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer, got {value!r}$"):
+            PhotonStatistics.fock(*args)
+        assert PhotonStatistics.fock(np.int64(2), np.int64(3)).probabilities.tolist() == [0, 0, 1, 0]
+
     def test_probabilities_read_only(self):
         stats = PhotonStatistics.fock(1)
         with pytest.raises(ValueError):
@@ -222,6 +236,15 @@ class TestMoments:
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
             factorial_moment(PhotonStatistics.fock(1), 0)
+
+    @pytest.mark.parametrize("order", [True, 1.5, 2.0])
+    def test_order_must_be_an_integer(self, order):
+        stats = PhotonStatistics.fock(2)
+        with pytest.raises(
+            ValueError, match=f"^factorial moment order must be an integer, got {order!r}$"
+        ):
+            factorial_moment(stats, order)
+        assert factorial_moment(stats, np.int64(2)) == 2.0
 
     def test_order_beyond_cutoff_is_zero(self):
         assert factorial_moment(PhotonStatistics.fock(2), 5) == 0.0

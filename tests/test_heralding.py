@@ -7,6 +7,7 @@ from heraldstats import (
     ClickDetectorArray,
     HeraldConfig,
     ImpossibleHeraldError,
+    LossChannel,
     Truncation,
     TruncationCapError,
     TwinBeamSource,
@@ -14,6 +15,7 @@ from heraldstats import (
     mean,
     nbar_from_car,
     povm_diagonal,
+    report,
     success_probability,
     thermal_distribution,
 )
@@ -74,15 +76,26 @@ class TestHerald:
             heralded = herald(config(car=8.0, clicks=clicks, mu_h=0.5))
             assert abs(heralded.statistics.probabilities.sum() - 1.0) <= 1e-10
 
+    # HeraldConfig is a plain tuple; each function that reads it checks the click count
+    CLICK_USERS = (herald, success_probability, lambda cfg: report(cfg, LossChannel(0.7), 1))
+
     def test_click_count_bound(self):
-        with pytest.raises(ValueError):
-            HeraldConfig(TwinBeamSource(0.5), detector(0.5), 5)
+        cfg = HeraldConfig(TwinBeamSource(0.5), detector(0.5), 5)
+        for use in self.CLICK_USERS:
+            with pytest.raises(ValueError, match=r"^click count 5 outside 0\.\.4$"):
+                use(cfg)
 
     def test_click_count_must_be_an_integer(self):
         for clicks in (1.5, 1.0, True):
-            with pytest.raises(ValueError, match=f"^click count must be an integer, got {clicks!r}$"):
-                HeraldConfig(TwinBeamSource(0.5), detector(0.5), clicks)
-        assert HeraldConfig(TwinBeamSource(0.5), detector(0.5), np.int64(1)).clicks == 1
+            cfg = HeraldConfig(TwinBeamSource(0.5), detector(0.5), clicks)
+            for use in self.CLICK_USERS:
+                with pytest.raises(
+                    ValueError, match=f"^click count must be an integer, got {clicks!r}$"
+                ):
+                    use(cfg)
+        cfg = HeraldConfig(TwinBeamSource(0.5), detector(0.5), np.int64(1))
+        for use in self.CLICK_USERS:
+            use(cfg)
 
 
 class TestHeraldOutcomePartition:

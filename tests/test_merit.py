@@ -51,6 +51,15 @@ class TestFidelity:
 
 
 class TestGFactorial:
+    @pytest.mark.parametrize("order", [True, 2.0, 2.5])
+    def test_order_must_be_an_integer(self, order):
+        stats = PhotonStatistics.fock(2)
+        with pytest.raises(
+            ValueError, match=f"^factorial moment order must be an integer, got {order!r}$"
+        ):
+            g_factorial(stats, order)
+        assert g_factorial(stats, np.int64(2)) == g_factorial(stats, 2)
+
     def test_thermal_g2_is_two(self):
         stats = thermal_distribution(TwinBeamSource(0.8), Truncation.adaptive(1e-16))
         assert g_factorial(stats, 2) == pytest.approx(2.0, rel=1e-8)
@@ -82,6 +91,13 @@ class TestGFactorial:
 
 
 class TestParity:
+    @pytest.mark.parametrize("max_order", [True, 2.0, 2.5])
+    def test_max_order_must_be_an_integer(self, max_order):
+        stats = PhotonStatistics.fock(1)
+        with pytest.raises(ValueError, match=f"^max_order must be an integer, got {max_order!r}$"):
+            parity_from_moments(stats, max_order)
+        assert parity_from_moments(stats, np.int64(3)) == parity_from_moments(stats, 3)
+
     def test_trivial_values(self):
         assert parity_direct(PhotonStatistics.fock(0)) == 1.0
         assert parity_direct(PhotonStatistics.fock(1)) == -1.0
@@ -121,6 +137,19 @@ class TestParity:
 
 
 class TestCrossCorrelation:
+    @pytest.mark.parametrize(
+        "orders,bad", [((1.5, 1), 1.5), ((True, 1), True), ((1, 2.0), 2.0), ((2, False), False)]
+    )
+    def test_orders_must_be_integers(self, orders, bad):
+        source = TwinBeamSource(0.5)
+        with pytest.raises(
+            ValueError, match=f"^cross-correlation order must be an integer, got {bad!r}$"
+        ):
+            cross_correlation(source, orders)
+        assert cross_correlation(source, (np.int64(1), np.int64(2))) == cross_correlation(
+            source, (1, 2)
+        )
+
     def test_car_identity(self):
         for nbar in (1e-3, 0.01, 0.1, 1.0, 10.0):
             value = cross_correlation(
@@ -159,6 +188,12 @@ class TestCrossCorrelation:
 
 
 class TestDarkCountRatio:
+    @pytest.mark.parametrize("clicks", [1.0, True])
+    def test_click_count_must_be_an_integer(self, clicks):
+        cfg = HeraldConfig(TwinBeamSource(0.05), detector(0.6), clicks)
+        with pytest.raises(ValueError, match=f"^click count must be an integer, got {clicks!r}$"):
+            dark_count_ratio(cfg)
+
     def test_matches_heralded_populations(self):
         # dual route: the closed form must agree with the heralded statistics
         for mu_h in (0.3, 0.6, 0.9):
