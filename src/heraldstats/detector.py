@@ -15,10 +15,10 @@ Column j = 0, hit_0(n) = (1 - mu)^n, is a running product: one multiply
 per entry, the same one the band solve of the other columns would do, so
 its bits are those of the solve.  The recurrence runs forward in n and the
 sum over j is taken entry by entry, so w_n(k) for n <= n_max comes out bit
-for bit the same whatever n_max it is computed at.  The validated weights
-are therefore cached by (detector, clicks) alone: each outcome keeps the
-longest vector computed so far, and a smaller cutoff gets an exact
-read-only prefix of it.
+for bit the same whatever n_max it is computed at.  A sweep therefore
+builds the weights of each efficiency once, at its largest cutoff, and
+reads an exact prefix at every point; the vector is read-only, since its
+points share it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .fock import _check_integer, _prefix_cache
+from .fock import _check_integer
 
 __all__ = [
     "ClickDetectorArray",
@@ -111,14 +111,17 @@ def _click_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.
     return weights
 
 
-@_prefix_cache(maxsize=16384)
-def _clipped_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
-    """Validated, read-only weights of one click outcome, cached per (detector, clicks).
+def povm_diagonal(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
+    """Read-only click-outcome weights w_n(clicks) for n = 0..n_max.
 
     Weights outside [0, 1] by more than rounding (or NaN) raise ValueError;
     rounding past a bound is clipped in place by ``np.minimum`` and
     ``np.maximum``, which skip ``np.clip``'s Python-level wrapper.
     """
+    _check_clicks(detector, clicks)
+    _check_integer(n_max, "n_max")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     weights = _click_weights(detector, clicks, n_max)
     low = float(weights.min())
     high = float(weights.max())
@@ -128,12 +131,3 @@ def _clipped_weights(detector: ClickDetectorArray, clicks: int, n_max: int) -> n
     np.maximum(weights, 0.0, out=weights)
     weights.flags.writeable = False
     return weights
-
-
-def povm_diagonal(detector: ClickDetectorArray, clicks: int, n_max: int) -> np.ndarray:
-    """Read-only click-outcome weights w_n(clicks) for n = 0..n_max."""
-    _check_clicks(detector, clicks)
-    _check_integer(n_max, "n_max")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return _clipped_weights(detector, clicks, n_max)

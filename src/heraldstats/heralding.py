@@ -70,18 +70,35 @@ def herald(config: HeraldConfig) -> HeraldedState:
     # evaluated pointwise to the same n_max.
     thermal = thermal_distribution(config.source, config.trunc)
     weights = povm_diagonal(config.detector, config.clicks, thermal.n_max)
-    unnormalized = weights * thermal.probabilities
+    probs, total = _normalized(
+        weights, thermal.probabilities, config.source, config.detector, config.clicks
+    )
+    return HeraldedState(PhotonStatistics._trusted(probs), total)
+
+
+def _normalized(
+    weights: np.ndarray,
+    thermal: np.ndarray,
+    source: TwinBeamSource,
+    detector: ClickDetectorArray,
+    clicks: int,
+) -> tuple[np.ndarray, float]:
+    """p = w P / sum(w P) and the herald probability, from equal-length vectors.
+
+    The normalisation ``herald`` and ``sweep.run_sweep`` share; the source,
+    detector and click count only name the outcome in the error.
+    """
+    unnormalized = weights * thermal
     total = float(np.add.reduce(unnormalized))  # ndarray.sum without its Python wrapper
     if total <= 0.0:
         raise ImpossibleHeraldError(
-            f"herald outcome clicks={config.clicks} has zero probability for "
-            f"nbar={config.source.mean_photon_number!r}, "
-            f"efficiency={config.detector.efficiency!r}, "
-            f"dark_count_prob={config.detector.dark_count_prob!r}"
+            f"herald outcome clicks={clicks} has zero probability for "
+            f"nbar={source.mean_photon_number!r}, "
+            f"efficiency={detector.efficiency!r}, "
+            f"dark_count_prob={detector.dark_count_prob!r}"
         )
     # Validated click weights times a validated thermal vector: nonnegative and finite.
-    statistics = PhotonStatistics._trusted(unnormalized / total)
-    return HeraldedState(statistics, min(total, 1.0))
+    return unnormalized / total, min(total, 1.0)
 
 
 def success_probability(config: HeraldConfig) -> float:

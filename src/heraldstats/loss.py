@@ -8,7 +8,7 @@ O(n_max^2) time and memory.  The figures of merit never need the whole
 lossy vector: the overlap with |m> after loss is row m of L applied to
 the lossless distribution, and the lossy parity is sum_n p_n (1-2 mu)^n,
 since each photon independently flips the parity when it survives
-(probability mu) and leaves it alone when lost.  ``_lossy_weights`` caches
+(probability mu) and leaves it alone when lost.  ``_lossy_weights`` returns
 both O(n_max) weight vectors in one read-only block.  It builds the row in
 numpy, without scipy, as (1-mu)^(n-m) times a product of m positive
 factors (n-m+i)/i * mu per entry, carried as mantissa times a power of two
@@ -17,9 +17,9 @@ weights are the running product 1, b, b^2, ... with b = 1 - 2 mu: one
 multiply per entry instead of one ``pow`` (about 20 us instead of about
 420 us at n_max = 3240), within n 2^-53 relative of b^n and exact at
 mu = 0, 1/2 and 1.  Entry n of either vector depends only on entries
-below it, so it is bit for bit the same at any cutoff >= n: the cache is
-keyed by (mu, m) alone, keeps the longest pair computed so far and gives a
-smaller cutoff an exact read-only prefix of it.
+below it, so it is bit for bit the same at any cutoff >= n: a sweep builds
+the block of each (mu, m) once, at its largest cutoff, and every point
+reads an exact prefix of it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom
 
-from .fock import PhotonStatistics, _prefix_cache
+from .fock import PhotonStatistics
 
 __all__ = [
     "LossChannel",
@@ -129,11 +129,8 @@ def _loss_row(
     return row
 
 
-@_prefix_cache(maxsize=256)
 def _lossy_weights(efficiency: float, target: int, n_max: int) -> np.ndarray:
     """Read-only (2, n_max + 1) array: row ``target`` of L, and (1 - 2 mu)^n.
-
-    Cached per (efficiency, target); a smaller cutoff gets a prefix view.
 
     Dotted with a lossless distribution they give the lossy overlap with
     |target> and the lossy parity.  The row is the product form of

@@ -20,8 +20,8 @@ from .fock import (
     PhotonStatistics,
     Truncation,
     TwinBeamSource,
+    _MOMENT_ROWS,
     _check_integer,
-    _factorial_moments,
     _falling_factorials,
     factorial_moment,
     mean,
@@ -108,7 +108,7 @@ def g_factorial(stats: PhotonStatistics, order: int) -> float:
 def parity_direct(stats: PhotonStatistics) -> float:
     """Photon-number parity as the alternating sum of the distribution.
 
-    At mu_s = 1 the parity weights (1 - 2 mu_s)^n of the cached
+    At mu_s = 1 the parity weights (1 - 2 mu_s)^n of the
     ``_lossy_weights`` block are exactly +-1.  This is row 1 of that block's
     product with the distribution, the product ``report`` takes at
     mu_s = 1, so the two parities are bit for bit equal.
@@ -186,22 +186,22 @@ def dark_count_ratio(config: HeraldConfig) -> float:
     """Single-photon to vacuum population ratio of a one-click herald.
 
     Closed form in the source and detector parameters; diverges (returns
-    +inf) for a dark-count-free detector, where the herald leaves no vacuum
-    at all.
+    +inf) where the herald leaves no vacuum at all: for a dark-count-free
+    detector, and where nu/N is too small for 1 - exp(-nu/N) to be nonzero.
     """
     _check_integer(config.clicks, "click count")
     if config.clicks != 1:
         raise ValueError("the dark-count ratio is defined for single-click heralds")
     det = config.detector
     thermal_ratio = config.source.squeezing_magnitude  # P_1 / P_0
-    if det.dark_count_prob == 0.0:
-        return math.inf
     # With d = 1 - exp(-nu/N) per detector, vacuum gives one click with weight
     # N d (1-d)^(N-1), and one photon with weight (1 - mu) N d (1-d)^(N-1) +
     # mu (1-d)^(N-1).  Their ratio ((1 - mu) d + mu/N) / d is a sum of positive
     # terms; the equal form (1 - mu (N-1)/N) - (1 - mu)(1 - d) in the numerator
     # cancels when d is small.  At mu = 0 the ratio is exactly P_1/P_0.
     dark = -math.expm1(-det.dark_count_prob / det.num_detectors)
+    if dark == 0.0:  # nu = 0, or nu/N below the float range
+        return math.inf
     eff = det.efficiency
     numerator = (1.0 - eff) * dark + eff / det.num_detectors
     return thermal_ratio * (numerator / dark)
@@ -212,21 +212,43 @@ def report(
 ) -> FigureOfMeritReport:
     """Herald, degrade through the signal arm, and evaluate every figure of merit.
 
-    Two products with cached read-only blocks give every value.  The mean,
-    F2 and F3 of the lossless heralded distribution p are one product with
-    the falling-factorial block (see ``fock.factorial_moment``), so they are
-    bit for bit ``mean`` and ``g_factorial``.  The lossy figures of merit
-    are O(n_max) functionals of p, so the lossy vector is never built: the
-    fidelity and the parity are one product of p with the ``_lossy_weights``
-    block, row ``target`` of the loss matrix and sum_n p_n (1 - 2 mu_s)^n,
-    and the lossy mean is mu_s times the lossless mean.  At mu_s = 0 the
-    signal is vacuum and the values are exact.
+    Two products with read-only blocks give every value.  The mean, F2 and
+    F3 of the lossless heralded distribution p are one product with the
+    cached falling-factorial block (see ``fock.factorial_moment``), so they
+    are bit for bit ``mean`` and ``g_factorial``.  The lossy figures of
+    merit are O(n_max) functionals of p, so the lossy vector is never built:
+    the fidelity and the parity are one product of p with the
+    ``_lossy_weights`` block, row ``target`` of the loss matrix and
+    sum_n p_n (1 - 2 mu_s)^n, and the lossy mean is mu_s times the lossless
+    mean.  At mu_s = 0 the signal is vacuum and the values are exact.
+    ``sweep.run_sweep`` evaluates its points with the same two steps,
+    ``heralding._normalized`` and ``_figures``, so each of its rows equals
+    this report bit for bit.
     """
     heralded = herald(config)
     probs = heralded.statistics.probabilities
     n_max = probs.size - 1
     _check_target(target, n_max)
-    lossless_mean, f2, f3 = _factorial_moments(probs, 1, 3)
+    mu_s = signal.efficiency
+    moments = _falling_factorials(_MOMENT_ROWS, n_max)
+    lossy = _lossy_weights(mu_s, target, n_max) if mu_s > 0.0 else None
+    return _figures(probs, heralded.success_probability, target, mu_s, moments, lossy)
+
+
+def _figures(
+    probs: np.ndarray,
+    success: float,
+    target: int,
+    mu_s: float,
+    moments: np.ndarray,
+    lossy: np.ndarray | None,
+) -> FigureOfMeritReport:
+    """Every figure of merit from p, the success probability and two blocks as long as p.
+
+    ``moments`` is the three-row falling-factorial block and ``lossy`` the
+    ``_lossy_weights`` block of (mu_s, target), or None at mu_s = 0.
+    """
+    lossless_mean, f2, f3 = (moments @ probs).tolist()
     if lossless_mean > 0.0:
         # the operations of g_factorial
         g2 = f2 / lossless_mean**2
@@ -234,11 +256,10 @@ def report(
     else:
         g2 = math.nan
         g3 = math.nan
-    mu_s = signal.efficiency
-    if mu_s == 0.0:
+    if lossy is None:
         fid, parity = float(target == 0), 1.0
     else:
-        fid, parity = (_lossy_weights(mu_s, target, n_max) @ probs).tolist()
+        fid, parity = (lossy @ probs).tolist()
         # p sums to one only to rounding, so a value at its bound can overshoot
         fid = min(fid, 1.0)
         parity = min(max(parity, -1.0), 1.0)
@@ -246,7 +267,7 @@ def report(
         fidelity=fid,
         g2=g2,
         g3=g3,
-        success_probability=heralded.success_probability,
+        success_probability=success,
         parity=parity,
         mean_lossy=mu_s * lossless_mean,
         mean_loss_corrected=lossless_mean if mu_s > 0.0 else math.nan,

@@ -1,16 +1,20 @@
 """Grid scans over (CAR, mu_h, mu_s), region thresholding, optimum finding.
 
-Every grid point is an independent pure evaluation of ``merit.report``.  A
-sweep returns one table, a dict of arrays keyed by the export ``COLUMNS``:
-float64 coordinates and figures of merit (NaN where a point has none),
-int64 ``k`` and ``target``, and a ``status`` string per row.  Rows come in
-row-major order over the axes as declared, so two runs of the same sweep
-are bit-identical.  A value that is the same at every point (a fixed
-parameter, the click count, the target) is checked before any point is
-evaluated, and a bad one raises.  A failure that depends on the point (an
-impossible herald, the cutoff cap, a target above the cutoff) becomes an
-error-marked row, so exports stay rectangular.  A threshold region is a
-boolean mask over the rows, and an optimum is a row index.
+Every grid point gets the figures of merit ``merit.report`` gives it, bit
+for bit, without a ``report`` call: each vector a point needs (the thermal
+vector of each CAR, the click weights of each mu_h, the loss-row/parity
+block of each mu_s and the moment block) is built once, before the loop,
+and each point reads prefixes of them.  A sweep returns one table, a dict
+of arrays keyed by the export ``COLUMNS``: float64 coordinates and figures
+of merit (NaN where a point has none), int64 ``k`` and ``target``, and a
+``status`` string per row.  Rows come in row-major order over the axes as
+declared, so two runs of the same sweep are bit-identical.  A value that
+is the same at every point (a fixed parameter, the click count, the
+target) is checked before any point is evaluated, and a bad one raises.
+A failure that depends on the point (the cutoff cap, an impossible
+herald, a target above the cutoff) becomes an error-marked row, so
+exports stay rectangular.  A threshold region is a boolean mask over the
+rows, and an optimum is a row index.
 """
 
 from __future__ import annotations
@@ -24,11 +28,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import DEFAULT_DARK_COUNT, DEFAULT_NUM_DETECTORS, ClickDetectorArray, _check_clicks
-from .fock import TwinBeamSource, _check_integer, car_from_source, nbar_from_car
-from .heralding import HeraldConfig
-from .loss import LossChannel
-from .merit import _check_target, report
+from .detector import (
+    DEFAULT_DARK_COUNT,
+    DEFAULT_NUM_DETECTORS,
+    ClickDetectorArray,
+    _check_clicks,
+    povm_diagonal,
+)
+from .fock import (
+    _MOMENT_ROWS,
+    TwinBeamSource,
+    _check_integer,
+    _falling_factorials,
+    car_from_source,
+    nbar_from_car,
+    thermal_distribution,
+)
+from .heralding import _normalized
+from .loss import LossChannel, _lossy_weights
+from .merit import _check_target, _figures
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -152,46 +170,90 @@ def run_sweep(
     before any point is evaluated.  Where that error concerns the click
     count, the target, ``mu_h`` or ``mu_s``, whose messages do not name the
     keyword, ``exc.parameter`` does ("clicks", "target", "mu_h", "mu_s").
-    A point whose report raises
-    ``ValueError`` (an impossible herald, the cutoff cap, a target above the
-    cutoff) becomes a row with NaN figures of merit and the status
-    ``error: <reason>``; any other exception propagates.
+
+    Each point reads prefixes of the vectors built before the loop and
+    evaluates them with the steps ``report`` takes, ``heralding._normalized``
+    and ``merit._figures``, so every row equals ``report`` bit for bit.  A
+    point for which ``report`` would raise ``ValueError`` becomes a row with
+    NaN figures of merit and the status ``error: <reason>``, with the reason
+    ``report`` would give: the cutoff cap, then click weights out of range,
+    then an impossible herald, then a target above the cutoff.  Any other
+    exception propagates.
     """
     axes = list(axes)
     _validate_assignment(axes, car, nbar, mu_h, mu_s)
     if target is None:
         target = clicks
     with _concerning("target"):
-        _check_target(target, math.inf)  # report checks the cutoff at each point
+        _check_target(target, math.inf)  # each point checks its cutoff
     # N and nu are checked here, at unit efficiency, so a detector error below concerns mu_h
     array = ClickDetectorArray(1.0, num_detectors, dark_count_prob)
     with _concerning("clicks"):
         _check_clicks(array, clicks)
 
     grids = {axis.parameter: axis.grid().tolist() for axis in axes}
-    built = {"car": [_source_for(value, nbar) for value in grids.get("car", [car])]}
+    sources = [_source_for(value, nbar) for value in grids.get("car", [car])]
     with _concerning("mu_h"):
-        built["mu_h"] = [
+        detectors = [
             ClickDetectorArray(float(value), num_detectors, dark_count_prob)
             for value in grids.get("mu_h", [mu_h])
         ]
     with _concerning("mu_s"):
-        built["mu_s"] = [LossChannel(float(value)) for value in grids.get("mu_s", [mu_s])]
+        efficiencies = [
+            LossChannel(float(value)).efficiency for value in grids.get("mu_s", [mu_s])
+        ]
+
+    built = {"car": [], "mu_h": []}
+    for car_value, nbar_value, source in sources:
+        try:
+            thermal = thermal_distribution(source).probabilities
+        except ValueError as exc:  # the cutoff cap: a row at every point of this CAR
+            thermal = f"error: {exc}"
+        built["car"].append((car_value, nbar_value, source, thermal))
+    # The other vectors are built at the largest cutoff of the sweep: their
+    # entries do not depend on the cutoff, so each point reads an exact prefix.
+    cutoff = max(
+        (len(thermal) - 1 for *_, thermal in built["car"] if not isinstance(thermal, str)),
+        default=0,
+    )
+    for detector in detectors:
+        try:
+            weights = povm_diagonal(detector, clicks, cutoff)
+        except ValueError:  # out of range past some cutoff: each point checks its own
+            weights = None
+        built["mu_h"].append((detector, weights))
+    built["mu_s"] = [
+        (value, _lossy_weights(value, target, cutoff) if value > 0.0 else None)
+        for value in efficiencies
+    ]
+    moments = _falling_factorials(_MOMENT_ROWS, cutoff)
     # The product runs over the axes as declared, then the one-element fixed
-    # values; ``pick`` puts each point back in (source, detector, channel) order.
+    # values; ``pick`` puts each point back in (car, mu_h, mu_s) order.
     order = list(grids) + [name for name in SWEEP_PARAMETERS if name not in grids]
     pick = operator.itemgetter(*map(order.index, SWEEP_PARAMETERS))
 
     rows = []
-    for (car_value, nbar_value, source), detector, channel in map(
+    for (car_value, nbar_value, source, thermal), (detector, weights), (mu_s_value, lossy) in map(
         pick, itertools.product(*(built[name] for name in order))
     ):
-        coordinates = (car_value, nbar_value, detector.efficiency, channel.efficiency, clicks, target)
-        config = HeraldConfig(source, detector, clicks)
+        coordinates = (car_value, nbar_value, detector.efficiency, mu_s_value, clicks, target)
+        if isinstance(thermal, str):
+            rows.append((*coordinates, *_NO_FOMS, thermal))
+            continue
+        size = len(thermal)
         try:
-            rows.append((*coordinates, *report(config, channel, target), "ok"))
+            if weights is None:
+                point_weights = povm_diagonal(detector, clicks, size - 1)
+            else:
+                point_weights = weights[:size]
+            probs, success = _normalized(point_weights, thermal, source, detector, clicks)
+            _check_target(target, size - 1)
+            lossy_prefix = None if lossy is None else lossy[:, :size]
+            foms = _figures(probs, success, target, mu_s_value, moments[:, :size], lossy_prefix)
         except ValueError as exc:
             rows.append((*coordinates, *_NO_FOMS, f"error: {exc}"))
+        else:
+            rows.append((*coordinates, *foms, "ok"))
     return {
         name: np.array(column, dtype=_DTYPES.get(name, np.float64))
         for name, column in zip(COLUMNS, zip(*rows))

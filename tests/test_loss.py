@@ -77,7 +77,7 @@ class TestApplyLoss:
 
 
 class TestLossyWeightsCache:
-    """Loss rows and parity weights are cached per (mu, m): a smaller cutoff gets an exact prefix."""
+    """Loss rows and parity weights at a smaller cutoff are an exact prefix of a larger one's."""
 
     @staticmethod
     def cases(seed, count=200):
@@ -95,17 +95,15 @@ class TestLossyWeightsCache:
         return np.stack([_loss_row(mu, target, n_max), parity])
 
     def test_short_after_long_is_an_exact_prefix(self):
-        _lossy_weights.cache_clear()
         for mu, target, short, long in self.cases(1):
-            _lossy_weights(mu, target, long)
-            misses = _lossy_weights.cache_info().misses
+            full = _lossy_weights(mu, target, long)
+            assert not full.flags.writeable
             weights = _lossy_weights(mu, target, short)
-            assert _lossy_weights.cache_info().misses == misses
             assert not weights.flags.writeable
+            assert np.array_equal(full[:, : short + 1], weights), (mu, target, short, long)
             assert np.array_equal(weights, self.fresh(mu, target, short)), (mu, target, short)
 
     def test_long_after_short_is_computed_whole(self):
-        _lossy_weights.cache_clear()
         for mu, target, short, long in self.cases(2):
             _lossy_weights(mu, target, short)
             weights = _lossy_weights(mu, target, long)
@@ -114,8 +112,6 @@ class TestLossyWeightsCache:
             assert np.array_equal(weights, self.fresh(mu, target, long)), (mu, target, long)
 
     def test_concurrent_requests_get_exact_results(self):
-        _lossy_weights.cache_clear()
-        # rising cutoffs make the threads replace the entry again and again
         cutoffs = np.tile(np.arange(400), (8, 1))
         expected = self.fresh(0.45, 2, int(cutoffs.max()))
         failures = []

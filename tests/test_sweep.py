@@ -17,6 +17,7 @@ from heraldstats import (
     herald,
     threshold_region,
 )
+from heraldstats import sweep
 from heraldstats.sweep import SWEEP_PARAMETERS
 
 from conftest import config
@@ -168,7 +169,7 @@ class TestRunSweep:
 
     def test_fixed_value_errors_raise_before_any_point(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("heraldstats.sweep.report", lambda *args: calls.append(args))
+        monkeypatch.setattr("heraldstats.sweep._figures", lambda *args: calls.append(args))
         axes = [SweepAxis("mu_h", 0.2, 0.8, 2)]
         for fixed, message in [
             (dict(clicks=1, mu_s=1.5), r"efficiency must lie in \[0, 1\], got 1.5"),
@@ -194,9 +195,107 @@ class TestRunSweep:
         def fault(*args):
             raise ZeroDivisionError("division by zero")
 
-        monkeypatch.setattr("heraldstats.sweep.report", fault)
+        monkeypatch.setattr("heraldstats.sweep._figures", fault)
         with pytest.raises(ZeroDivisionError):
             run_sweep([SweepAxis("mu_h", 0.2, 0.8, 2)], clicks=1, car=10.0, mu_s=1.0)
+
+    @staticmethod
+    def report_rows(axes, clicks, target, n_det, nu, **fixed):
+        """The sweep's rows from one ``report()`` call per point, in row-major order."""
+        rows = []
+        for values in itertools.product(*(axis.grid() for axis in axes)):
+            point = {**fixed, **{axis.parameter: float(v) for axis, v in zip(axes, values)}}
+            try:
+                foms = report(
+                    config(point["car"], clicks, point["mu_h"], n_det, nu),
+                    LossChannel(point["mu_s"]),
+                    target,
+                )
+                rows.append((*foms, "ok"))
+            except ValueError as exc:
+                rows.append((*(math.nan,) * len(FOM_NAMES), f"error: {exc}"))
+        return rows
+
+    @pytest.mark.parametrize(
+        "axes,clicks,target,n_det,nu,kinds",
+        [
+            # cap rows near CAR 2, target-above-cutoff rows at CAR 1e9 (n_max = 1),
+            # impossible heralds at mu_h = 0 without dark counts, and mu_s = 0
+            (
+                [
+                    SweepAxis("car", 2.0 + 1e-6, 1e9, 16, "logarithmic"),
+                    SweepAxis("mu_h", 0.0, 1.0, 3),
+                    SweepAxis("mu_s", 0.0, 1.0, 3),
+                ],
+                1, 2, 4, 0.0,
+                {"ok", "error: truncation", "error: herald", "error: target"},
+            ),
+            (
+                [
+                    SweepAxis("mu_s", 0.0, 1.0, 3),
+                    SweepAxis("car", 2.01, 1e6, 8, "logarithmic"),
+                    SweepAxis("mu_h", 0.0, 1.0, 4),
+                ],
+                5, 5, 16, 1e-3,
+                {"ok", "error: target"},
+            ),
+        ],
+        ids=["every-error-kind", "N16-k5"],
+    )
+    def test_rows_equal_report_bit_for_bit(self, axes, clicks, target, n_det, nu, kinds):
+        table = run_sweep(
+            axes, clicks=clicks, target=target, num_detectors=n_det, dark_count_prob=nu
+        )
+        expected = self.report_rows(axes, clicks, target, n_det, nu)
+        got = list(zip(*(table[name].tolist() for name in (*FOM_NAMES, "status"))))
+        assert [row[-1] for row in got] == [row[-1] for row in expected]
+        assert np.array([row[:-1] for row in got]).tobytes() == np.array(
+            [row[:-1] for row in expected]
+        ).tobytes()
+        assert {" ".join(status.split()[:2]) for status in table["status"]} == kinds
+
+    def test_out_of_range_weights_fail_only_points_that_reach_them(self, monkeypatch):
+        from heraldstats import detector
+
+        click_weights = detector._click_weights
+
+        def nan_from_30(det, clicks, n_max):
+            weights = click_weights(det, clicks, n_max)
+            weights[30:] = math.nan
+            return weights
+
+        monkeypatch.setattr("heraldstats.detector._click_weights", nan_from_30)
+        axes = [SweepAxis("car", 3.0, 300.0, 6, "logarithmic")]
+        table = run_sweep(axes, clicks=1, mu_h=0.5, mu_s=0.7)
+        expected = self.report_rows(axes, 1, 1, 4, 5e-4, mu_h=0.5, mu_s=0.7)
+        assert table["status"].tolist() == [row[-1] for row in expected]
+        assert table["status"][0].startswith("error: click weights outside [0, 1]")
+        assert table["status"][-1] == "ok"
+        got = [row_foms(table, i) for i in range(6)]
+        np.testing.assert_array_equal(np.array(got), np.array([row[:-1] for row in expected]))
+
+    def test_each_vector_built_once_per_axis_value(self, monkeypatch):
+        counts = {}
+
+        def counting(name):
+            original = getattr(sweep, name)
+
+            def counted(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(sweep, name, counted)
+
+        for name in ("thermal_distribution", "povm_diagonal", "_lossy_weights"):
+            counting(name)
+        axes = [
+            SweepAxis("car", 3.0, 300.0, 3, "logarithmic"),
+            SweepAxis("mu_h", 0.2, 0.8, 4),
+            SweepAxis("mu_s", 0.3, 0.9, 2),
+        ]
+        table = run_sweep(axes, clicks=1)
+        assert table["status"].tolist() == ["ok"] * 24
+        assert counts == {"thermal_distribution": 3, "povm_diagonal": 4, "_lossy_weights": 2}
 
     def test_nbar_fixed_point(self):
         table = run_sweep([], clicks=1, nbar=1.0, mu_h=1.0, mu_s=1.0)
