@@ -15,9 +15,7 @@ rely on an exact sum of one.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -228,14 +226,12 @@ class PhotonStatistics:
         return f"PhotonStatistics(n_max={self.n_max}, mean={mean(self):.6g})"
 
 
-@lru_cache(maxsize=2048)
 def thermal_distribution(
     source: TwinBeamSource, trunc: Truncation = DEFAULT_TRUNCATION
 ) -> PhotonStatistics:
     """Truncated, renormalized thermal distribution of the twin-beam marginal.
 
-    Memoized: statistics are immutable and sweeps revisit the same source
-    many times.
+    Built afresh on each call; a sweep calls it once per CAR.
     """
     n_max = trunc.resolve_n_max(source)
     # at nbar = 0 this is the vacuum vector, since 0.0 ** 0 == 1
@@ -262,95 +258,35 @@ def car_from_source(source: TwinBeamSource) -> float:
 
 def mean(stats: PhotonStatistics) -> float:
     """First moment sum(n * p_n), row 0 of the falling-factorial product."""
-    (first,) = _factorial_moments(stats.probabilities, 1, 1)
-    return first
-
-
-def _factorial_moments(probs: np.ndarray, lowest: int, highest: int) -> list[float]:
-    """Factorial moments of orders lowest..highest: one product with the cached block.
-
-    Orders up to 3 always use the same three-row block, so the mean, F2 and
-    F3 of one distribution are bit for bit the same whichever of them a
-    caller asks for; higher orders take a taller block.
-    """
-    block = _falling_factorials(max(highest, _MOMENT_ROWS), probs.size - 1)
-    return (block @ probs)[lowest - 1 : highest].tolist()
+    return (_moment_block(1, stats.n_max) @ stats.probabilities)[0].item()
 
 
 def factorial_moment(stats: PhotonStatistics, order: int) -> float:
     """Unnormalized factorial moment sum(n(n-1)...(n-order+1) * p_n).
 
-    Row ``order - 1`` of the falling-factorial product: orders 1-3 share
-    one cached three-row block with ``mean`` and ``report``.
+    Row ``order - 1`` of the falling-factorial product: orders 1-3 read the
+    same three-row block as ``mean`` and ``report``, so the mean, F2 and F3
+    of one distribution are bit for bit the same whichever a caller asks
+    for; higher orders take a taller block.
     """
     _check_integer(order, "factorial moment order")
     if order < 1:
         raise ValueError("factorial moment order must be >= 1")
-    (moment,) = _factorial_moments(stats.probabilities, order, order)
-    return moment
-
-
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-def _prefix_cache(maxsize: int):
-    """Cache ``compute(*key, n_max)`` by ``key`` alone.
-
-    For functions whose result runs over n = 0..n_max along its last axis
-    and whose entries do not depend on n_max, so that the result at a
-    smaller cutoff is exactly a prefix of the result at a larger one.  Each
-    key keeps the longest read-only result computed so far: a request it
-    covers gets that result, or a read-only prefix view of it, and computes
-    nothing (a hit); any other request computes at exactly its own cutoff
-    and replaces it (a miss).  Every stored result is exact at its own
-    cutoff, so concurrent callers always get exact results; a race can at
-    worst make one compute again.  Keys are evicted least recently used, as
-    by ``functools.lru_cache``, whose ``cache_info``/``cache_clear``
-    interface the wrapper keeps.
-    """
-
-    def decorate(compute):
-        slots = lru_cache(maxsize)(lambda *key: [None])
-        counts = [0, 0]  # hits, misses
-
-        @wraps(compute)
-        def cached(*args):
-            slot = slots(*args[:-1])
-            stored = slot[0]
-            size = args[-1] + 1
-            if stored is None or stored.shape[-1] < size:
-                counts[1] += 1
-                slot[0] = stored = compute(*args)
-                return stored
-            counts[0] += 1
-            return stored if stored.shape[-1] == size else stored[..., :size]
-
-        def cache_info():
-            return _CacheInfo(*counts, maxsize, slots.cache_info().currsize)
-
-        def cache_clear():
-            slots.cache_clear()
-            counts[:] = [0, 0]
-
-        cached.cache_info = cache_info
-        cached.cache_clear = cache_clear
-        return cached
-
-    return decorate
+    return (_moment_block(order, stats.n_max) @ stats.probabilities)[order - 1].item()
 
 
 #: Rows of the falling-factorial block that every moment is read from.
 _MOMENT_ROWS = 3
 
 
-@_prefix_cache(maxsize=16)
 def _falling_factorials(rows: int, n_max: int) -> np.ndarray:
     """Read-only (rows, n_max + 1) block: row r holds n(n-1)...(n-r), n = 0..n_max.
 
     Row 0 is n itself.  Each row is the one above times n - r, so entry n
-    depends on n alone and a smaller cutoff gets an exact prefix view.  The
-    entries are integers, exact while below 2^53 (order 3 up to n ~ 2e5);
-    an entry past the float range is an error, not an infinity.
+    depends on n alone and a block at a smaller cutoff is an exact prefix of
+    one at a larger cutoff.  The entries are integers, exact while below
+    2^53 (order 3 up to n ~ 2e5); an entry past the float range is an error,
+    not an infinity.
     """
     n = np.arange(n_max + 1.0)
     block = np.empty((rows, n_max + 1))
@@ -363,3 +299,19 @@ def _falling_factorials(rows: int, n_max: int) -> np.ndarray:
         raise ValueError(f"factorial moment of order {rows} overflows at n_max = {n_max}")
     block.flags.writeable = False
     return block
+
+
+#: The three moment rows at the adaptive cap, built once (98 KB).
+_MOMENTS = _falling_factorials(_MOMENT_ROWS, TRUNCATION_CAP)
+
+
+def _moment_block(rows: int, n_max: int) -> np.ndarray:
+    """Falling-factorial block over n = 0..n_max with at least ``rows`` rows.
+
+    Up to three rows and the cap it is a read-only prefix view of
+    ``_MOMENTS``; a higher order or a fixed cutoff past the cap builds its
+    own block.  Either way entry n is the same exact integer.
+    """
+    if rows <= _MOMENT_ROWS and n_max <= TRUNCATION_CAP:
+        return _MOMENTS[:, : n_max + 1]
+    return _falling_factorials(max(rows, _MOMENT_ROWS), n_max)

@@ -22,7 +22,7 @@ from .fock import (
     TwinBeamSource,
     _MOMENT_ROWS,
     _check_integer,
-    _falling_factorials,
+    _moment_block,
     factorial_moment,
     mean,
     thermal_distribution,
@@ -177,7 +177,7 @@ def cross_correlation(
     first = mean(stats)
     if first <= 0.0:  # vacuum, or a cutoff of 0
         raise ValueError("cross-correlation undefined for zero mean photon number")
-    block = _falling_factorials(max(order_i, order_s), stats.n_max)
+    block = _moment_block(max(order_i, order_s), stats.n_max)
     joint = np.dot(block[order_i - 1] * stats.probabilities, block[order_s - 1])
     return float(joint) / first ** (order_i + order_s)
 
@@ -213,24 +213,24 @@ def report(
     """Herald, degrade through the signal arm, and evaluate every figure of merit.
 
     Two products with read-only blocks give every value.  The mean, F2 and
-    F3 of the lossless heralded distribution p are one product with the
-    cached falling-factorial block (see ``fock.factorial_moment``), so they
-    are bit for bit ``mean`` and ``g_factorial``.  The lossy figures of
-    merit are O(n_max) functionals of p, so the lossy vector is never built:
-    the fidelity and the parity are one product of p with the
-    ``_lossy_weights`` block, row ``target`` of the loss matrix and
-    sum_n p_n (1 - 2 mu_s)^n, and the lossy mean is mu_s times the lossless
-    mean.  At mu_s = 0 the signal is vacuum and the values are exact.
-    ``sweep.run_sweep`` evaluates its points with the same two steps,
-    ``heralding._normalized`` and ``_figures``, so each of its rows equals
-    this report bit for bit.
+    F3 of the lossless heralded distribution p are one product with a
+    prefix of the falling-factorial block built at import (see
+    ``fock.factorial_moment``), so they are bit for bit ``mean`` and
+    ``g_factorial``.  The lossy figures of merit are O(n_max) functionals
+    of p, so the lossy vector is never built: the fidelity and the parity
+    are one product of p with the ``_lossy_weights`` block, row ``target``
+    of the loss matrix and sum_n p_n (1 - 2 mu_s)^n, and the lossy mean is
+    mu_s times the lossless mean.  At mu_s = 0 the signal is vacuum and the
+    values are exact.  ``sweep.run_sweep`` evaluates its points with the
+    same two steps, ``heralding._normalized`` and ``_figures``, so each of
+    its rows equals this report bit for bit.
     """
     heralded = herald(config)
     probs = heralded.statistics.probabilities
     n_max = probs.size - 1
     _check_target(target, n_max)
     mu_s = signal.efficiency
-    moments = _falling_factorials(_MOMENT_ROWS, n_max)
+    moments = _moment_block(_MOMENT_ROWS, n_max)
     lossy = _lossy_weights(mu_s, target, n_max) if mu_s > 0.0 else None
     return _figures(probs, heralded.success_probability, target, mu_s, moments, lossy)
 

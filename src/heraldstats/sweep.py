@@ -39,7 +39,7 @@ from .fock import (
     _MOMENT_ROWS,
     TwinBeamSource,
     _check_integer,
-    _falling_factorials,
+    _moment_block,
     car_from_source,
     nbar_from_car,
     thermal_distribution,
@@ -226,7 +226,7 @@ def run_sweep(
         (value, _lossy_weights(value, target, cutoff) if value > 0.0 else None)
         for value in efficiencies
     ]
-    moments = _falling_factorials(_MOMENT_ROWS, cutoff)
+    moments = _moment_block(_MOMENT_ROWS, cutoff)
     # The product runs over the axes as declared, then the one-element fixed
     # values; ``pick`` puts each point back in (car, mu_h, mu_s) order.
     order = list(grids) + [name for name in SWEEP_PARAMETERS if name not in grids]

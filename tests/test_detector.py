@@ -135,7 +135,7 @@ class TestPovmProperties:
             povm_diagonal(det, 1, 1)
 
 
-class TestPrefixCache:
+class TestExactPrefix:
     """Weights at a smaller cutoff are an exact prefix of those at a larger one."""
 
     @staticmethod

@@ -76,7 +76,7 @@ class TestApplyLoss:
             LossChannel(-0.2)
 
 
-class TestLossyWeightsCache:
+class TestLossyWeightsExactPrefix:
     """Loss rows and parity weights at a smaller cutoff are an exact prefix of a larger one's."""
 
     @staticmethod

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from heraldstats import (
     thermal_distribution,
 )
 
-from heraldstats.fock import _falling_factorials
 from heraldstats.loss import _lossy_weights
 
 from conftest import config, detector
@@ -290,6 +291,25 @@ class TestReport:
         assert math.isnan(rep.g2) and math.isnan(rep.g3)
         assert rep.success_probability == 1.0
 
+    def test_retains_no_memory(self):
+        # each call at its own source, so a kept thermal vector would pile up
+        def calls(first, count):
+            for i in range(first, first + count):
+                cfg = HeraldConfig(TwinBeamSource(0.05 + 1e-3 * i), detector(0.8), 1)
+                report(cfg, LossChannel(0.7), 1)
+
+        calls(0, 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            calls(1, 500)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
+
 
 def assert_agrees(cfg, mu_s, target, tiny=0.0):
     """report's lossy figures of merit against the full lossy vector of apply_loss.
@@ -393,9 +413,8 @@ class TestLossyFunctionals:
             assert rep.g3 == g_factorial(lossless, 3)
 
     def test_prefix_view_of_moment_block_keeps_bit_identity(self):
-        # 8192 after a smaller cutoff computes a longer block; the smaller
-        # cutoff then reads a prefix view of it.
-        _falling_factorials.cache_clear()
+        # 40 reads a prefix view of the block built at the cap; 8192, past
+        # the cap, builds its own block.
         for n_max in (40, 8192, 40):
             cfg = HeraldConfig(nbar_from_car(15.0), detector(0.8), 1, Truncation.fixed(n_max))
             lossless = herald(cfg).statistics
@@ -405,9 +424,8 @@ class TestLossyFunctionals:
                 assert rep.g2 == g_factorial(lossless, 2)
                 assert rep.g3 == g_factorial(lossless, 3)
             assert rep.parity == parity_direct(lossless)
-        assert _falling_factorials.cache_info().misses == 2
 
-    def test_weights_are_cached_and_read_only(self):
+    def test_weights_are_an_exact_prefix_and_read_only(self):
         weights = _lossy_weights(0.7, 1, 50)
         assert weights.shape == (2, 51)
         assert np.array_equal(_lossy_weights(0.7, 1, 50), weights)
