@@ -37,6 +37,7 @@ __all__ = [
 
 DEFAULT_TAIL_EPSILON = 1e-14
 TRUNCATION_CAP = 4096
+_LOG_TAIL_EPSILON = math.log(DEFAULT_TAIL_EPSILON)
 
 #: Tolerance on sum(probabilities) == 1 accepted at construction.
 PROBABILITY_SUM_TOL = 1e-10
@@ -50,16 +51,21 @@ def _check_integer(value, what: str) -> None:
 
 
 class TruncationCapError(ValueError):
-    """Adaptive tail bound cannot be met below the configured cap."""
+    """The adaptive tail bound cannot be met at or below ``TRUNCATION_CAP``."""
 
-    def __init__(self, required_n_max: int, cap: int):
+    def __init__(self, required_n_max: int):
         self.required_n_max = required_n_max
-        self.cap = cap
         shown = str(required_n_max)
-        if len(shown) > 16:  # huge nbar: keep the message short
-            shown = f"about {shown[0]}.{shown[1:4]}e{len(shown) - 1}"
+        if len(shown) > 16:  # huge nbar: keep the message short, rounded to 4 digits
+            exponent = len(shown) - 1
+            scale = 10 ** (exponent - 3)
+            digits = (required_n_max + scale // 2) // scale
+            if digits == 10_000:  # 9.9995... carries up to 1.000e(exponent + 1)
+                digits, exponent = 1000, exponent + 1
+            shown = f"about {digits // 1000}.{digits % 1000:03d}e{exponent}"
         super().__init__(
-            f"truncation cap {cap} exceeded: the requested tail bound needs n_max = {shown}"
+            f"truncation cap {TRUNCATION_CAP} exceeded: "
+            f"the requested tail bound needs n_max = {shown}"
         )
 
 
@@ -67,36 +73,23 @@ class TruncationCapError(ValueError):
 class Truncation:
     """Photon-number cutoff policy.
 
-    ``Truncation(n_max=...)`` is a fixed cutoff.  ``Truncation()`` is
-    adaptive: the smallest cutoff whose analytic thermal tail,
-    (nbar/(1+nbar))**(n_max+1), falls below ``tail_epsilon``, and at most
-    ``cap``, which bounds only the adaptive cutoff.
+    ``Truncation(n_max=...)`` (or ``Truncation.fixed``) is a fixed cutoff.
+    ``Truncation()`` is adaptive: the smallest cutoff whose analytic thermal
+    tail, (nbar/(1+nbar))**(n_max+1), falls below ``DEFAULT_TAIL_EPSILON``,
+    and at most ``TRUNCATION_CAP``, which bounds only the adaptive cutoff.
     """
 
     n_max: int | None = None
-    tail_epsilon: float = DEFAULT_TAIL_EPSILON
-    cap: int = TRUNCATION_CAP
 
     def __post_init__(self):
-        _check_integer(self.cap, "truncation cap")
-        if self.cap < 1:
-            raise ValueError("truncation cap must be at least 1")
         if self.n_max is not None:
             _check_integer(self.n_max, "fixed truncation n_max")
             if self.n_max < 0:
                 raise ValueError("fixed truncation needs n_max >= 0")
-        if not 0.0 < self.tail_epsilon < 1.0:
-            raise ValueError(f"tail_epsilon must lie in (0, 1), got {self.tail_epsilon!r}")
 
     @classmethod
     def fixed(cls, n_max: int) -> "Truncation":
         return cls(n_max=n_max)
-
-    @classmethod
-    def adaptive(
-        cls, tail_epsilon: float = DEFAULT_TAIL_EPSILON, cap: int = TRUNCATION_CAP
-    ) -> "Truncation":
-        return cls(tail_epsilon=tail_epsilon, cap=cap)
 
     def resolve_n_max(self, source: "TwinBeamSource") -> int:
         """Concrete cutoff; the adaptive one bounds the source's thermal tail."""
@@ -107,19 +100,18 @@ class Truncation:
             return 0
         # log(nbar / (1 + nbar)); formed by division, it rounds to 0 above nbar ~ 9e15.
         log_ratio = -math.log1p(1.0 / nbar)
-        log_eps = math.log(self.tail_epsilon)
-        steps = log_eps / log_ratio  # inf above nbar ~ 5e306
-        if steps > self.cap + 1:
+        steps = _LOG_TAIL_EPSILON / log_ratio  # inf above nbar ~ 5e306
+        if steps > TRUNCATION_CAP + 1:
             # Past the cap the loop below could not take unit steps (steps passes
             # 2^53 near nbar ~ 3e14), so count the cutoff floor(steps) exactly.
-            eps_num, eps_den = (-log_eps).as_integer_ratio()
+            eps_num, eps_den = (-_LOG_TAIL_EPSILON).as_integer_ratio()
             ratio_num, ratio_den = (-log_ratio).as_integer_ratio()
-            raise TruncationCapError(eps_num * ratio_den // (eps_den * ratio_num), self.cap)
+            raise TruncationCapError(eps_num * ratio_den // (eps_den * ratio_num))
         needed = max(math.ceil(steps) - 1, 0)
-        while (needed + 1) * log_ratio >= log_eps:
+        while (needed + 1) * log_ratio >= _LOG_TAIL_EPSILON:
             needed += 1
-        if needed > self.cap:
-            raise TruncationCapError(needed, self.cap)
+        if needed > TRUNCATION_CAP:
+            raise TruncationCapError(needed)
         return needed
 
 
@@ -149,28 +141,22 @@ class TwinBeamSource:
         return nbar / (1.0 + nbar)
 
 
-def _checked(values, plural: str, singular: str) -> np.ndarray:
-    """``values`` as a finite non-empty 1-d float vector, rounding noise below 0 clipped."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError(f"{plural} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{plural} must be finite")
-    smallest = float(values.min())
-    if smallest < -_NEGATIVE_TOL:
-        raise ValueError(f"negative {singular} {smallest:.3e}")
-    if smallest < 0.0:
-        values = np.clip(values, 0.0, None)
-    return values
-
-
 class PhotonStatistics:
     """Normalized probability vector over photon numbers 0..n_max."""
 
     __slots__ = ("_probs",)
 
     def __init__(self, probabilities):
-        probs = _checked(probabilities, "probabilities", "probability")
+        probs = np.asarray(probabilities, dtype=float)
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError("probabilities must be a non-empty 1-d vector")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
+        smallest = float(probs.min())
+        if smallest < -_NEGATIVE_TOL:
+            raise ValueError(f"negative probability {smallest:.3e}")
+        if smallest < 0.0:  # rounding noise
+            probs = np.clip(probs, 0.0, None)
         total = float(probs.sum())
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise ValueError(
@@ -186,15 +172,6 @@ class PhotonStatistics:
         obj = object.__new__(cls)
         obj._probs = probs
         return obj
-
-    @classmethod
-    def from_unnormalized(cls, values) -> "PhotonStatistics":
-        """Build statistics from nonnegative weights of any positive total."""
-        values = _checked(values, "weights", "weight")
-        total = values.sum()
-        if total <= 0.0:
-            raise ValueError("weights sum to zero; no distribution")
-        return cls._trusted(values / total)
 
     @classmethod
     def fock(cls, photon_number: int, n_max: int | None = None) -> "PhotonStatistics":

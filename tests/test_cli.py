@@ -69,7 +69,11 @@ class TestReportCommand:
         code = main(["report", "--nbar", "1e20", "--clicks", "1", "--mu-h", "0.8", "--mu-s", "0.7"])
         assert code == 1
         captured = capsys.readouterr()
-        assert "error: truncation cap 4096 exceeded" in captured.err
+        # 3223619130191664260700, rounded (not cut) to four digits
+        assert captured.err == (
+            "error: truncation cap 4096 exceeded: "
+            "the requested tail bound needs n_max = about 3.224e21\n"
+        )
         assert captured.out == ""
 
     def test_car_and_nbar_conflict(self, capsys):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from heraldstats import (
+    DEFAULT_TAIL_EPSILON,
+    TRUNCATION_CAP,
     PhotonStatistics,
     Truncation,
     TruncationCapError,
@@ -79,30 +81,30 @@ class TestThermalDistribution:
     def test_mean_matches_closed_form(self):
         # oracle: the mean of the untruncated geometric series is nbar itself
         for nbar in (0.01, 0.1, 1.0, 10.0):
-            stats = thermal_distribution(TwinBeamSource(nbar), Truncation.adaptive(1e-14))
+            stats = thermal_distribution(TwinBeamSource(nbar), Truncation())
             assert mean(stats) == pytest.approx(nbar, abs=1e-10)
 
     def test_car_15_mean(self):
-        stats = thermal_distribution(nbar_from_car(15.0), Truncation.adaptive(1e-14))
+        stats = thermal_distribution(nbar_from_car(15.0), Truncation())
         assert mean(stats) == pytest.approx(1 / 13, abs=1e-12)
 
     def test_adaptive_tail_bound(self):
         nbar = 0.5
-        trunc = Truncation.adaptive(1e-10)
-        stats = thermal_distribution(TwinBeamSource(nbar), trunc)
+        stats = thermal_distribution(TwinBeamSource(nbar), Truncation())
         ratio = nbar / (1 + nbar)
-        assert ratio ** (stats.n_max + 1) < 1e-10
-        assert ratio**stats.n_max >= 1e-10  # smallest such cutoff
+        assert ratio ** (stats.n_max + 1) < DEFAULT_TAIL_EPSILON
+        assert ratio**stats.n_max >= DEFAULT_TAIL_EPSILON  # smallest such cutoff
 
     def test_cap_exceeded_names_requirement(self):
+        # nbar 200 needs a cutoff of about -log(1e-14) * 200 ~ 6460
         with pytest.raises(TruncationCapError) as err:
-            thermal_distribution(TwinBeamSource(1.0), Truncation.adaptive(1e-14, cap=10))
-        assert err.value.required_n_max > 10
+            thermal_distribution(TwinBeamSource(200.0), Truncation())
+        assert err.value.required_n_max > TRUNCATION_CAP
         assert str(err.value.required_n_max) in str(err.value)
 
     def test_normalized_after_any_construction(self):
         for nbar in (0.0, 0.3, 2.0):
-            for trunc in (Truncation.adaptive(1e-6), Truncation.fixed(12)):
+            for trunc in (Truncation(), Truncation.fixed(12)):
                 stats = thermal_distribution(TwinBeamSource(nbar), trunc)
                 assert abs(stats.probabilities.sum() - 1.0) <= 1e-10
 
@@ -123,15 +125,13 @@ class TestTruncation:
             needed += 1
         return needed
 
-    @pytest.mark.parametrize("tail_epsilon", [1e-14, 1e-6])
+    @pytest.mark.parametrize("tail_epsilon", [DEFAULT_TAIL_EPSILON])
     def test_cutoff_matches_divided_log(self, tail_epsilon):
-        trunc = Truncation.adaptive(tail_epsilon)
-        wide = Truncation.adaptive(tail_epsilon, cap=10**6)
+        trunc = Truncation()
         for nbar in np.geomspace(1e-3, 1e4, 4001):
             nbar = float(nbar)
             expected = self.divided_log_cutoff(nbar, tail_epsilon)
-            assert wide.resolve_n_max(TwinBeamSource(nbar)) == expected, nbar
-            if expected <= trunc.cap:
+            if expected <= TRUNCATION_CAP:
                 assert trunc.resolve_n_max(TwinBeamSource(nbar)) == expected, nbar
             else:
                 with pytest.raises(TruncationCapError) as err:
@@ -143,24 +143,29 @@ class TestTruncation:
         # log(nbar / (1 + nbar)) rounds to 0 above nbar ~ 9e15, and the
         # requested cutoff itself overflows a float above ~5e306
         with pytest.raises(TruncationCapError, match="^truncation cap 4096 exceeded") as err:
-            Truncation.adaptive().resolve_n_max(TwinBeamSource(nbar))
+            Truncation().resolve_n_max(TwinBeamSource(nbar))
         # the required cutoff is about -log(1e-14) nbar, as an exact integer
         assert err.value.required_n_max / int(nbar) == pytest.approx(-math.log(1e-14), rel=1e-9)
 
-    def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            Truncation.adaptive(0.0)
-        with pytest.raises(ValueError):
-            Truncation.adaptive(1.5)
-        with pytest.raises(ValueError):
-            Truncation.fixed(-1)
-        for cap in (0, -5):
-            with pytest.raises(ValueError, match="cap must be at least 1"):
-                Truncation(cap=cap)
-
     @pytest.mark.parametrize(
-        "kwargs", [{"n_max": 2.5}, {"n_max": 2.0}, {"n_max": True}, {"cap": 64.0}, {"cap": True}]
+        "required,shown",
+        [
+            (6463, "6463"),
+            (10**16 - 1, "9999999999999999"),
+            (12345678901234567, "about 1.235e16"),
+            (99994999 * 10**20, "about 9.999e27"),
+            (99995 * 10**20, "about 1.000e25"),
+        ],
     )
+    def test_cap_message_rounds_required_cutoff(self, required, shown):
+        # integer rounding: the required cutoff can pass the float range
+        assert str(TruncationCapError(required)).endswith(f"needs n_max = {shown}")
+
+    def test_bad_parameters(self):
+        with pytest.raises(ValueError, match="needs n_max >= 0"):
+            Truncation.fixed(-1)
+
+    @pytest.mark.parametrize("kwargs", [{"n_max": 2.5}, {"n_max": 2.0}, {"n_max": True}])
     def test_non_integral_cutoff_rejected(self, kwargs):
         ((name, value),) = kwargs.items()
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}$"):
@@ -185,10 +190,6 @@ class TestPhotonStatistics:
         stats = PhotonStatistics([1.0 + 5e-13, -5e-13])
         assert stats.probabilities[1] == 0.0
         assert stats.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
-
-    def test_from_unnormalized_rejects_zero_total(self):
-        with pytest.raises(ValueError):
-            PhotonStatistics.from_unnormalized([0.0, 0.0])
 
     def test_fock(self):
         stats = PhotonStatistics.fock(2, 4)
@@ -228,7 +229,8 @@ class TestMoments:
     def test_thermal_identity(self):
         # oracle: untruncated thermal factorial moments are order! * nbar**order
         for nbar in (0.1, 0.5, 1.0, 2.0):
-            stats = thermal_distribution(TwinBeamSource(nbar), Truncation.adaptive(1e-16))
+            # a fixed cutoff of 100 leaves a tail below 1e-17 at every nbar here
+            stats = thermal_distribution(TwinBeamSource(nbar), Truncation.fixed(100))
             for order in (1, 2, 3, 4):
                 expected = math.factorial(order) * nbar**order
                 assert factorial_moment(stats, order) == pytest.approx(expected, rel=1e-8)

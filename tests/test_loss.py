@@ -18,7 +18,7 @@ from heraldstats.loss import _loss_row, _lossy_weights
 
 
 def thermal(nbar, n_max=None):
-    trunc = Truncation.adaptive(1e-14) if n_max is None else Truncation.fixed(n_max)
+    trunc = Truncation() if n_max is None else Truncation.fixed(n_max)
     return thermal_distribution(TwinBeamSource(nbar), trunc)
 
 

@@ -63,7 +63,7 @@ class TestGFactorial:
         assert g_factorial(stats, np.int64(2)) == g_factorial(stats, 2)
 
     def test_thermal_g2_is_two(self):
-        stats = thermal_distribution(TwinBeamSource(0.8), Truncation.adaptive(1e-16))
+        stats = thermal_distribution(TwinBeamSource(0.8), Truncation())
         assert g_factorial(stats, 2) == pytest.approx(2.0, rel=1e-8)
 
     def test_fock_values(self):
