@@ -11,7 +11,6 @@ efficiency) to locate high-quality preparation regions.
 from .detector import ClickDetectorArray, povm_diagonal, povm_weight
 from .fock import (
     DEFAULT_TAIL_EPSILON,
-    DEFAULT_TRUNCATION,
     TRUNCATION_CAP,
     PhotonStatistics,
     Truncation,
@@ -58,7 +57,6 @@ __all__ = [
     "povm_diagonal",
     "povm_weight",
     "DEFAULT_TAIL_EPSILON",
-    "DEFAULT_TRUNCATION",
     "TRUNCATION_CAP",
     "PhotonStatistics",
     "Truncation",

@@ -25,7 +25,6 @@ __all__ = [
     "PROBABILITY_SUM_TOL",
     "TruncationCapError",
     "Truncation",
-    "DEFAULT_TRUNCATION",
     "TwinBeamSource",
     "PhotonStatistics",
     "thermal_distribution",
@@ -115,9 +114,6 @@ class Truncation:
         return needed
 
 
-DEFAULT_TRUNCATION = Truncation()
-
-
 @dataclass(frozen=True)
 class TwinBeamSource:
     """Single-mode twin-beam source, reduced to its mean photon number.
@@ -204,7 +200,7 @@ class PhotonStatistics:
 
 
 def thermal_distribution(
-    source: TwinBeamSource, trunc: Truncation = DEFAULT_TRUNCATION
+    source: TwinBeamSource, trunc: Truncation = Truncation()
 ) -> PhotonStatistics:
     """Truncated, renormalized thermal distribution of the twin-beam marginal.
 

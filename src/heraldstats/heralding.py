@@ -17,13 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detector import ClickDetectorArray, povm_diagonal
-from .fock import (
-    DEFAULT_TRUNCATION,
-    PhotonStatistics,
-    Truncation,
-    TwinBeamSource,
-    thermal_distribution,
-)
+from .fock import PhotonStatistics, TwinBeamSource, thermal_distribution
 
 __all__ = [
     "ImpossibleHeraldError",
@@ -39,16 +33,17 @@ class ImpossibleHeraldError(ValueError):
 
 
 class HeraldConfig(NamedTuple):
-    """One heralding arrangement: source, detector array, click count, cutoff.
+    """One heralding arrangement: source, detector array, click count.
 
     A plain tuple, checked where it is used: ``povm_diagonal`` rejects a bad
     click count for ``herald``, ``success_probability`` and ``merit.report``.
+    The photon-number cutoff is the adaptive rule of ``Truncation()``, the
+    one ``sweep.run_sweep`` and the CLI use.
     """
 
     source: TwinBeamSource
     detector: ClickDetectorArray
     clicks: int
-    trunc: Truncation = DEFAULT_TRUNCATION
 
 
 class HeraldedState(NamedTuple):
@@ -68,7 +63,7 @@ def herald(config: HeraldConfig) -> HeraldedState:
     """
     # The cutoff authority is the source distribution; the click weights are
     # evaluated pointwise to the same n_max.
-    thermal = thermal_distribution(config.source, config.trunc)
+    thermal = thermal_distribution(config.source)
     weights = povm_diagonal(config.detector, config.clicks, thermal.n_max)
     probs, total = _normalized(
         weights, thermal.probabilities, config.source, config.detector, config.clicks

@@ -16,11 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import (
-    DEFAULT_TRUNCATION,
+    _MOMENTS,
     PhotonStatistics,
     Truncation,
     TwinBeamSource,
-    _MOMENT_ROWS,
     _check_integer,
     _moment_block,
     factorial_moment,
@@ -160,7 +159,7 @@ def parity_from_moments(stats: PhotonStatistics, max_order: int) -> float:
 def cross_correlation(
     source: TwinBeamSource,
     orders: tuple[int, int],
-    trunc: Truncation = DEFAULT_TRUNCATION,
+    trunc: Truncation = Truncation(),
 ) -> float:
     """Normalized signal/idler cross-correlation g^(n,m) of the twin beams.
 
@@ -214,25 +213,25 @@ def report(
 
     Two products with read-only blocks give every value.  The mean, F2 and
     F3 of the lossless heralded distribution p are one product with a
-    prefix of the falling-factorial block built at import (see
-    ``fock.factorial_moment``), so they are bit for bit ``mean`` and
-    ``g_factorial``.  The lossy figures of merit are O(n_max) functionals
-    of p, so the lossy vector is never built: the fidelity and the parity
-    are one product of p with the ``_lossy_weights`` block, row ``target``
-    of the loss matrix and sum_n p_n (1 - 2 mu_s)^n, and the lossy mean is
-    mu_s times the lossless mean.  At mu_s = 0 the signal is vacuum and the
-    values are exact.  ``sweep.run_sweep`` evaluates its points with the
-    same two steps, ``heralding._normalized`` and ``_figures``, so each of
-    its rows equals this report bit for bit.
+    prefix of the falling-factorial block built at import, which covers
+    every cutoff up to the cap (see ``fock.factorial_moment``), so they are
+    bit for bit ``mean`` and ``g_factorial``.  The lossy figures of merit
+    are O(n_max) functionals of p, so the lossy vector is never built: the
+    fidelity and the parity are one product of p with the
+    ``_lossy_weights`` block, row ``target`` of the loss matrix and
+    sum_n p_n (1 - 2 mu_s)^n, and the lossy mean is mu_s times the
+    lossless mean.  At mu_s = 0 the signal is vacuum and the values are
+    exact.  ``sweep.run_sweep`` evaluates its points with the same two
+    steps, ``heralding._normalized`` and ``_figures``, so each of its rows
+    equals this report bit for bit.
     """
     heralded = herald(config)
     probs = heralded.statistics.probabilities
     n_max = probs.size - 1
     _check_target(target, n_max)
     mu_s = signal.efficiency
-    moments = _moment_block(_MOMENT_ROWS, n_max)
     lossy = _lossy_weights(mu_s, target, n_max) if mu_s > 0.0 else None
-    return _figures(probs, heralded.success_probability, target, mu_s, moments, lossy)
+    return _figures(probs, heralded.success_probability, target, mu_s, lossy)
 
 
 def _figures(
@@ -240,15 +239,15 @@ def _figures(
     success: float,
     target: int,
     mu_s: float,
-    moments: np.ndarray,
     lossy: np.ndarray | None,
 ) -> FigureOfMeritReport:
-    """Every figure of merit from p, the success probability and two blocks as long as p.
+    """Every figure of merit from p, the success probability and the loss block.
 
-    ``moments`` is the three-row falling-factorial block and ``lossy`` the
-    ``_lossy_weights`` block of (mu_s, target), or None at mu_s = 0.
+    ``lossy`` is the ``_lossy_weights`` block of (mu_s, target) as long as p,
+    or None at mu_s = 0.  The moments are read from the prefix of
+    ``fock._MOMENTS`` as long as p: a heralded cutoff never passes the cap.
     """
-    lossless_mean, f2, f3 = (moments @ probs).tolist()
+    lossless_mean, f2, f3 = (_MOMENTS[:, : probs.size] @ probs).tolist()
     if lossless_mean > 0.0:
         # the operations of g_factorial
         g2 = f2 / lossless_mean**2

@@ -2,19 +2,19 @@
 
 Every grid point gets the figures of merit ``merit.report`` gives it, bit
 for bit, without a ``report`` call: each vector a point needs (the thermal
-vector of each CAR, the click weights of each mu_h, the loss-row/parity
-block of each mu_s and the moment block) is built once, before the loop,
-and each point reads prefixes of them.  A sweep returns one table, a dict
-of arrays keyed by the export ``COLUMNS``: float64 coordinates and figures
-of merit (NaN where a point has none), int64 ``k`` and ``target``, and a
-``status`` string per row.  Rows come in row-major order over the axes as
-declared, so two runs of the same sweep are bit-identical.  A value that
-is the same at every point (a fixed parameter, the click count, the
-target) is checked before any point is evaluated, and a bad one raises.
-A failure that depends on the point (the cutoff cap, an impossible
-herald, a target above the cutoff) becomes an error-marked row, so
-exports stay rectangular.  A threshold region is a boolean mask over the
-rows, and an optimum is a row index.
+vector of each CAR, the click weights of each mu_h and the loss-row/parity
+block of each mu_s) is built once, before the loop, and each point reads
+prefixes of them and of the moment block built at import.  A sweep returns
+one table, a dict of arrays keyed by the export ``COLUMNS``: float64
+coordinates and figures of merit (NaN where a point has none), int64 ``k``
+and ``target``, and a ``status`` string per row.  Rows come in row-major
+order over the axes as declared, so two runs of the same sweep are
+bit-identical.  A value that is the same at every point (a fixed
+parameter, the click count, the target) is checked before any point is
+evaluated, and a bad one raises.  A failure that depends on the point
+(the cutoff cap, an impossible herald, a target above the cutoff) becomes
+an error-marked row, so exports stay rectangular.  A threshold region is a
+boolean mask over the rows, and an optimum is a row index.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ from .detector import (
     povm_diagonal,
 )
 from .fock import (
-    _MOMENT_ROWS,
     TwinBeamSource,
     _check_integer,
-    _moment_block,
     car_from_source,
     nbar_from_car,
     thermal_distribution,
@@ -88,7 +86,7 @@ class SweepAxis:
         if self.parameter == "car" and not self.min > 2.0:
             raise ValueError("car axis must start above the thermal floor of 2")
         if self.parameter in ("mu_h", "mu_s") and not (
-            0.0 <= self.min and self.max <= 1.0
+            0.0 <= self.min <= 1.0 and self.max <= 1.0
         ):
             raise ValueError("efficiency axes must lie within [0, 1]")
         if self.scale == "logarithmic" and self.min <= 0.0:
@@ -163,7 +161,7 @@ def run_sweep(
     grid point.  Each of car (or nbar), mu_h and mu_s must appear exactly
     once, either as an axis or as a fixed value; the source is fixed by car
     when given, else by nbar.  The target photon number defaults to the
-    click count, and every point uses ``DEFAULT_TRUNCATION``.
+    click count, and every point uses the adaptive cutoff, ``Truncation()``.
 
     Each source, detector array and loss channel is built once, before the
     loop, so a bad fixed value, click count or target raises ``ValueError``
@@ -226,7 +224,6 @@ def run_sweep(
         (value, _lossy_weights(value, target, cutoff) if value > 0.0 else None)
         for value in efficiencies
     ]
-    moments = _moment_block(_MOMENT_ROWS, cutoff)
     # The product runs over the axes as declared, then the one-element fixed
     # values; ``pick`` puts each point back in (car, mu_h, mu_s) order.
     order = list(grids) + [name for name in SWEEP_PARAMETERS if name not in grids]
@@ -249,7 +246,7 @@ def run_sweep(
             probs, success = _normalized(point_weights, thermal, source, detector, clicks)
             _check_target(target, size - 1)
             lossy_prefix = None if lossy is None else lossy[:, :size]
-            foms = _figures(probs, success, target, mu_s_value, moments[:, :size], lossy_prefix)
+            foms = _figures(probs, success, target, mu_s_value, lossy_prefix)
         except ValueError as exc:
             rows.append((*coordinates, *_NO_FOMS, f"error: {exc}"))
         else:

@@ -352,9 +352,16 @@ class TestSweepCommand:
              "bad axis: logarithmic axes need min > 0"),
             ({"signal": {}}, "mu_s must appear exactly once"),
             ({"truncation": {"n_max": 64}}, "unknown key(s) ['truncation'] in spec"),
+            # one step skips the min < max check, so min itself must lie in [0, 1]
+            ({"axes": [{"parameter": "mu_h", "min": 1.5, "max": 1.0, "steps": 1}]},
+             "bad axis: efficiency axes must lie within [0, 1]\n"),
+            ({"detector": {"N": 4, "nu": 5e-4, "mu_h": 0.8}, "signal": {},
+              "axes": [{"parameter": "mu_s", "min": 1.5, "max": 1.0, "steps": 1}]},
+             "bad axis: efficiency axes must lie within [0, 1]\n"),
         ],
         ids=["axis-not-object", "missing-key", "axis-missing-steps",
-             "zero-steps", "log-axis-from-zero", "no-mu_s", "truncation-section"],
+             "zero-steps", "log-axis-from-zero", "no-mu_s", "truncation-section",
+             "one-step-mu_h-above-one", "one-step-mu_s-above-one"],
     )
     def test_malformed_spec_rejected(self, tmp_path, capsys, overrides, message):
         out = tmp_path / "grid.csv"

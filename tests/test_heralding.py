@@ -24,6 +24,10 @@ from conftest import config, detector
 
 
 class TestHerald:
+    def test_config_has_no_cutoff_field(self):
+        # every heralded point uses the adaptive cutoff
+        assert HeraldConfig._fields == ("source", "detector", "clicks")
+
     def test_huge_nbar_exceeds_cap(self):
         with pytest.raises(TruncationCapError, match="^truncation cap 4096 exceeded"):
             herald(HeraldConfig(TwinBeamSource(1e20), detector(0.8), 1))
@@ -126,7 +130,7 @@ class TestWeightsOnlyDependence:
         # bit-identical, so any detector with equal weights gives equal output
         cfg = config(car=12.0, clicks=2, mu_h=0.7)
         heralded = herald(cfg)
-        thermal = thermal_distribution(cfg.source, cfg.trunc)
+        thermal = thermal_distribution(cfg.source)
         weights = povm_diagonal(cfg.detector, cfg.clicks, thermal.n_max)
         unnormalized = weights * thermal.probabilities
         manual = unnormalized / unnormalized.sum()

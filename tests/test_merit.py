@@ -15,6 +15,7 @@ from heraldstats import (
     apply_loss,
     cross_correlation,
     dark_count_ratio,
+    factorial_moment,
     fidelity,
     g_factorial,
     herald,
@@ -375,9 +376,10 @@ class TestLossyFunctionals:
 
     @pytest.mark.parametrize("mu_s", [0.0, 0.5, 1.0])
     def test_target_beyond_cutoff_keeps_message(self, mu_s):
-        cfg = HeraldConfig(TwinBeamSource(0.1), detector(0.8), 1, Truncation.fixed(3))
-        with pytest.raises(ValueError, match=r"^target photon number 4 exceeds the cutoff n_max = 3$"):
-            report(cfg, LossChannel(mu_s), 4)
+        # the adaptive cutoff of nbar 1e-9 is n_max = 1
+        cfg = HeraldConfig(TwinBeamSource(1e-9), detector(0.8), 1)
+        with pytest.raises(ValueError, match=r"^target photon number 2 exceeds the cutoff n_max = 1$"):
+            report(cfg, LossChannel(mu_s), 2)
 
     def test_negative_target_rejected(self):
         cfg = config(15.0, 1, 0.8)
@@ -413,17 +415,31 @@ class TestLossyFunctionals:
             assert rep.g3 == g_factorial(lossless, 3)
 
     def test_prefix_view_of_moment_block_keeps_bit_identity(self):
-        # 40 reads a prefix view of the block built at the cap; 8192, past
-        # the cap, builds its own block.
-        for n_max in (40, 8192, 40):
-            cfg = HeraldConfig(nbar_from_car(15.0), detector(0.8), 1, Truncation.fixed(n_max))
+        # Every adaptive cutoff reads a prefix view of the block built at the
+        # cap, from n_max = 1 (CAR 1e9) to about 3240 (CAR 2.01).
+        cutoffs = []
+        for car in (15.0, 2.01, 1e9, 15.0):
+            cfg = config(car, 1, 0.8)
             lossless = herald(cfg).statistics
+            cutoffs.append(lossless.n_max)
             for mu_s in (0.7, 1.0):
                 rep = report(cfg, LossChannel(mu_s), 1)
                 assert rep.mean_loss_corrected == mean(lossless)
                 assert rep.g2 == g_factorial(lossless, 2)
                 assert rep.g3 == g_factorial(lossless, 3)
             assert rep.parity == parity_direct(lossless)
+        assert cutoffs[1] > 3200 and cutoffs[2] == 1
+
+    def test_block_past_the_cap_keeps_bit_identity(self):
+        # a fixed cutoff past the cap builds its own falling-factorial block
+        stats = thermal_distribution(nbar_from_car(15.0), Truncation.fixed(8192))
+        first = factorial_moment(stats, 1)
+        assert mean(stats) == first
+        assert g_factorial(stats, 2) == factorial_moment(stats, 2) / first**2
+        assert g_factorial(stats, 3) == factorial_moment(stats, 3) / first**3
+        # oracle: untruncated thermal factorial moments are order! * nbar**order
+        assert first == pytest.approx(1 / 13, rel=1e-12)
+        assert g_factorial(stats, 3) == pytest.approx(6.0, rel=1e-12)
 
     def test_weights_are_an_exact_prefix_and_read_only(self):
         weights = _lossy_weights(0.7, 1, 50)

@@ -53,6 +53,9 @@ class TestSweepAxis:
             SweepAxis("mu_h", 0.2, 1.2, 5)
         with pytest.raises(ValueError):
             SweepAxis("mu_s", 0.8, 0.2, 5)
+        for parameter in ("mu_h", "mu_s"):  # one step skips the min < max check
+            with pytest.raises(ValueError, match=r"^efficiency axes must lie within \[0, 1\]$"):
+                SweepAxis(parameter, 1.5, 1.0, 1)
         with pytest.raises(ValueError):
             SweepAxis("mu_h", 0.1, 1.0, 5, scale="cubic")
         with pytest.raises(ValueError, match="finite"):
