@@ -107,8 +107,23 @@ def _write_table(table: dict[str, np.ndarray], fmt: str, out: str | None) -> Non
 
 
 def _check_destination(out: str | None) -> None:
-    """Fail before any work when ``out`` names no file in an existing directory."""
-    if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+    """Fail before any work when ``out`` names no file in an existing directory.
+
+    A path the file system cannot take fails here too: ``stat`` raises
+    OSError on a name that is too long and ValueError on a NUL byte or a
+    lone surrogate, where ``Path.is_dir`` would raise or read False.
+    """
+    if out is None:
+        return
+    try:
+        Path(out).stat()
+    except FileNotFoundError:  # no file there yet
+        pass
+    except OSError as exc:
+        raise SpecError(f"cannot write {out!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise SpecError(f"cannot write {out!r}: {exc}") from exc
+    if Path(out).is_dir() or not Path(out).parent.is_dir():
         raise SpecError(f"cannot write {out!r}: not a file in an existing directory")
 
 
@@ -268,7 +283,7 @@ def _parse_axis(obj: Any, where: str) -> SweepAxis:
 def _load_spec(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a path with a NUL byte
         raise SpecError(f"cannot read spec {path!r}: {exc}") from exc
     try:
         spec = json.loads(text)
@@ -346,9 +361,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def run() -> None:

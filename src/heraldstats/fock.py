@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_TAIL_EPSILON",
     "TRUNCATION_CAP",
-    "PROBABILITY_SUM_TOL",
     "TruncationCapError",
     "Truncation",
     "TwinBeamSource",

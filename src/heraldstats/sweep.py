@@ -47,7 +47,6 @@ from .loss import LossChannel, _lossy_weights
 from .merit import _check_target, _figures
 
 __all__ = [
-    "SWEEP_PARAMETERS",
     "FOM_NAMES",
     "COLUMNS",
     "SweepAxis",
@@ -91,10 +90,10 @@ class SweepAxis:
             raise ValueError("efficiency axes must lie within [0, 1]")
         if self.scale == "logarithmic" and self.min <= 0.0:
             raise ValueError("logarithmic axes need min > 0")
+        if self.steps == 1 and self.min != self.max:
+            raise ValueError("one-step axis needs min == max")
 
     def grid(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.min])
         if self.scale == "logarithmic":
             return np.geomspace(self.min, self.max, self.steps)
         return np.linspace(self.min, self.max, self.steps)

@@ -237,10 +237,13 @@ class TestSweepCommand:
     def test_missing_file(self, capsys):
         assert main(["sweep", "/nonexistent/spec.json"]) == 2
 
-    def test_invalid_json(self, tmp_path):
+    def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["sweep", str(path)]) == 2
+        path.write_bytes(b"\xff{}")  # not UTF-8
+        assert main(["sweep", str(path)]) == 2
+        assert f"error: cannot read spec {str(path)!r}: 'utf-8' codec" in capsys.readouterr().err
 
     def test_both_car_and_nbar_rejected(self, tmp_path):
         spec = basic_spec(source={"car": 15.0, "nbar": 0.1})
@@ -358,14 +361,28 @@ class TestSweepCommand:
             ({"detector": {"N": 4, "nu": 5e-4, "mu_h": 0.8}, "signal": {},
               "axes": [{"parameter": "mu_s", "min": 1.5, "max": 1.0, "steps": 1}]},
              "bad axis: efficiency axes must lie within [0, 1]\n"),
+            ({"axes": [{"parameter": "mu_h", "min": 0.5, "max": 0.6, "steps": 1}]},
+             "bad axis: one-step axis needs min == max\n"),
+            # paths no file can have, checked before any point like every output path
+            ({"outputs": {"path": "a\u0000b.csv"}},
+             "cannot write 'a\\x00b.csv': embedded null byte\n"),
+            ({"outputs": {"path": "\ud800.csv"}},
+             "cannot write '\\ud800.csv': 'utf-8' codec can't encode character"),
+            ({"outputs": {"path": "x" * 300 + ".csv"}},
+             f"cannot write {'x' * 300 + '.csv'!r}: File name too long\n"),
         ],
         ids=["axis-not-object", "missing-key", "axis-missing-steps",
              "zero-steps", "log-axis-from-zero", "no-mu_s", "truncation-section",
-             "one-step-mu_h-above-one", "one-step-mu_s-above-one"],
+             "one-step-mu_h-above-one", "one-step-mu_s-above-one", "one-step-max-not-min",
+             "nul-byte-path", "lone-surrogate-path", "overlong-path"],
     )
-    def test_malformed_spec_rejected(self, tmp_path, capsys, overrides, message):
+    def test_malformed_spec_rejected(self, tmp_path, monkeypatch, capsys, overrides, message):
+        def no_point(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr("heraldstats.sweep._figures", no_point)
         out = tmp_path / "grid.csv"
-        spec = basic_spec(outputs={"path": str(out)}, **overrides)
+        spec = basic_spec(**{"outputs": {"path": str(out)}, **overrides})
         assert main(["sweep", write_spec(tmp_path, spec)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
@@ -412,6 +429,15 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert f"error: cannot write {out!r}" in captured.err
         assert captured.out == ""
+
+    def test_fault_is_not_an_error(self, tmp_path, monkeypatch):
+        # only library errors become an exit status; a fault in the code surfaces
+        def fault(*args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr("heraldstats.sweep._figures", fault)
+        with pytest.raises(ZeroDivisionError):
+            main(["sweep", write_spec(tmp_path, basic_spec())])
 
     def test_failed_write_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("heraldstats.cli._check_destination", lambda out: None)

@@ -181,6 +181,9 @@ class TestPhotonStatistics:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             PhotonStatistics([0.5, 0.4])
+        for probs in ([], [[0.5], [0.5]]):  # nothing to sum, or not one vector
+            with pytest.raises(ValueError, match="^probabilities must be a non-empty 1-d vector$"):
+                PhotonStatistics(probs)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -194,8 +197,12 @@ class TestPhotonStatistics:
     def test_fock(self):
         stats = PhotonStatistics.fock(2, 4)
         assert stats.probabilities.tolist() == [0, 0, 1, 0, 0]
+        assert len(stats) == 5
+        assert repr(stats) == "PhotonStatistics(n_max=4, mean=2)"
         with pytest.raises(ValueError):
             PhotonStatistics.fock(3, 2)
+        with pytest.raises(ValueError, match="^photon number must be >= 0$"):
+            PhotonStatistics.fock(-1)
 
     @pytest.mark.parametrize(
         "args,what,value",

@@ -56,6 +56,10 @@ class TestSweepAxis:
         for parameter in ("mu_h", "mu_s"):  # one step skips the min < max check
             with pytest.raises(ValueError, match=r"^efficiency axes must lie within \[0, 1\]$"):
                 SweepAxis(parameter, 1.5, 1.0, 1)
+        for args in [("mu_h", 0.5, -3.0, 1), ("car", 5.0, 3.0, 1),
+                     ("car", 3.0, -1.0, 1, "logarithmic"), ("car", 3.0, 9.0, 1)]:
+            with pytest.raises(ValueError, match="^one-step axis needs min == max$"):
+                SweepAxis(*args)
         with pytest.raises(ValueError):
             SweepAxis("mu_h", 0.1, 1.0, 5, scale="cubic")
         with pytest.raises(ValueError, match="finite"):
